@@ -248,15 +248,9 @@ def _mining_stats(
     sims: np.ndarray, positives: list[int], miner: ng.MinerConfig, mode: str
 ) -> tuple[float, float]:
     """FalseNeg% and duplication rate for one batch, any negative mode."""
-    rng = np.random.default_rng(0)  # never consulted by the stats fields
-    filtered_count = 0
-    dup_count = 0
-    for i, pos in enumerate(positives):
-        _, filtered, dup = nce._select_negatives(sims[i], pos, miner.k, mode, miner.beta, rng)
-        filtered_count += bool(filtered)
-        dup_count += dup > 0
-    n = len(positives)
-    return 100.0 * filtered_count / n, dup_count / n
+    rng = np.random.default_rng(0)  # random picks never enter the stats
+    _, filtered, dup = ng.select_negatives(sims, positives, miner.k, mode, miner.beta, rng)
+    return ng.selection_rates(filtered, dup)
 
 
 def _stage2_cached(
@@ -275,8 +269,8 @@ def _stage2_cached(
     hard/easy mining is a pure function of the embeddings, so the two paths
     walk the same trajectory up to float round-off.
     """
-    if mode not in nce.NEGATIVE_MODES:
-        raise nce.ModeUnknownError(f"negative_mode must be one of {nce.NEGATIVE_MODES}, got {mode!r}")
+    if mode not in ng.NEGATIVE_MODES:
+        raise ng.ModeUnknownError(f"negative_mode must be one of {ng.NEGATIVE_MODES}, got {mode!r}")
     pairs = corpus.pairs
     if not pairs:
         raise ValueError("corpus has no query/positive pairs")
@@ -403,7 +397,7 @@ def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
 def cmd_tracegrad(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     corpus = cfg.load_corpus()
     outputs = []
-    for mode in nce.NEGATIVE_MODES:
+    for mode in ng.NEGATIVE_MODES:
         encoder = _starting_encoder(cfg, args.checkpoint)
         trace = nce.stage2_train(
             encoder,
@@ -453,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--mode",
                 default="hard",
-                choices=nce.NEGATIVE_MODES,
+                choices=ng.NEGATIVE_MODES,
                 help="negative sampling mode",
             )
     return parser

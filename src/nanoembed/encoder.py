@@ -328,22 +328,42 @@ def save_checkpoint(path, encoder: Encoder) -> None:
 
 
 def load_checkpoint(path) -> Encoder:
+    """Read a save_checkpoint file; a short, overlong or malformed one raises ValueError."""
     with open(path, "rb") as fh:
-        magic, version = struct.unpack("<4sH", fh.read(6))
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not an encoder checkpoint")
-        if version != _CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (config_len,) = struct.unpack("<I", fh.read(4))
-        config = EncoderConfig(**json.loads(fh.read(config_len).decode()))
-        (n_params,) = struct.unpack("<I", fh.read(4))
-        arrays = []
-        for _ in range(n_params):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            rows, cols = struct.unpack("<II", fh.read(8))
-            data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8").reshape(rows, cols)
-            arrays.append((name, data.astype(np.float64)))
+        blob = fh.read()
+    offset = 0
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal offset
+        left = len(blob) - offset
+        if size > left:
+            raise ValueError(f"{path}: checkpoint truncated in {what} (needs {size} bytes, {left} left)")
+        offset += size
+        return blob[offset - size : offset]
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    magic, version = unpack("<4sH", "header")
+    if magic != _CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not an encoder checkpoint")
+    if version != _CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    (config_len,) = unpack("<I", "config length")
+    try:
+        config = EncoderConfig(**json.loads(take(config_len, "config").decode()))
+    except TypeError as exc:
+        raise ValueError(f"{path}: bad encoder config: {exc}") from None
+    (n_params,) = unpack("<I", "array count")
+    arrays = []
+    for _ in range(n_params):
+        (name_len,) = unpack("<H", "array name length")
+        name = take(name_len, "array name").decode()
+        rows, cols = unpack("<II", f"shape of {name}")
+        data = np.frombuffer(take(rows * cols * 8, f"array {name}"), dtype="<f8").reshape(rows, cols)
+        arrays.append((name, data.astype(np.float64)))
+    if offset != len(blob):
+        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last array")
     encoder = Encoder(config)
     encoder.load_weight_arrays(arrays)
     return encoder

@@ -90,8 +90,8 @@ class ContrastiveObjective:
             raise ValueError(f"n_queries must be >= 1, got {self.n_queries}")
         if len(self.positives) != self.n_queries:
             raise ValueError(f"{len(self.positives)} positives for {self.n_queries} queries")
-        if self.mode not in nce.NEGATIVE_MODES:
-            raise nce.ModeUnknownError(f"mode must be one of {nce.NEGATIVE_MODES}, got {self.mode!r}")
+        if self.mode not in ng.NEGATIVE_MODES:
+            raise ng.ModeUnknownError(f"mode must be one of {ng.NEGATIVE_MODES}, got {self.mode!r}")
 
     def _split(self, total_rows: int) -> int:
         n_candidates = total_rows - self.n_queries
@@ -104,14 +104,13 @@ class ContrastiveObjective:
 
     def mine(self, values: np.ndarray) -> list[list[int]]:
         """Per-query negative candidate indices, deterministic given values."""
-        n_candidates = self._split(values.shape[0])
+        self._split(values.shape[0])
         queries, candidates = values[: self.n_queries], values[self.n_queries :]
-        sims = queries @ candidates.T
         rng = np.random.default_rng(self.seed)
-        return [
-            nce._select_negatives(sims[i], pos, self.config.k, self.mode, self.config.beta, rng)[0]
-            for i, pos in enumerate(self.positives)
-        ]
+        negatives, _, _ = ng.select_negatives(
+            queries @ candidates.T, self.positives, self.config.k, self.mode, self.config.beta, rng
+        )
+        return negatives.tolist()
 
     def loss_on(self, emb: EmbeddingBatch) -> Tensor:
         n_candidates = self._split(len(emb))

@@ -2,10 +2,10 @@
 mined negatives, with the training loop that drives it.
 
 The loss is computed in log space with max subtraction, so saturated batches
-stay finite.  Negative selection supports three modes: hard (filter false
-negatives, then top-k by similarity), easy (bottom-k), and random (uniform
-without replacement).  All modes duplicate cyclically when fewer than k
-candidates are eligible.
+stay finite.  Negatives come from negatives.select_negatives in one of three
+modes: hard (filter false negatives, then top-k by similarity), easy
+(bottom-k), and random (uniform without replacement).  All modes duplicate
+cyclically when fewer than k candidates are eligible.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ from .autodiff import Tensor
 from .corpus import Corpus
 from .encoder import Encoder, NonUnitRowError
 from .metrics import StepMetrics
-
-NEGATIVE_MODES = ("hard", "easy", "random")
-
-
-class ModeUnknownError(ValueError):
-    """Requested negative-selection mode is not one of hard/easy/random."""
+from .negatives import NEGATIVE_MODES, ModeUnknownError  # re-exported
 
 
 def _unit_rows(values: np.ndarray, label: str) -> None:
@@ -93,7 +88,7 @@ def infonce_batch_loss(
     if len(widths) != 1:
         raise ValueError(f"negative lists must share one length, got {sorted(widths)}")
     sims = ad.matmul(queries, ad.transpose(candidates))
-    cols = [[pos, *negs] for pos, negs in zip(positives, negatives)]
+    cols = np.column_stack((positives, negatives))
     logits = ad.scale(ad.gather_columns(sims, cols), 1.0 / _check_tau(tau))
     per_query = ad.sub(ad.row_log_sum_exp(logits), ad.gather_columns(logits, [[0]] * n))
     return ad.scale(ad.total_sum(per_query), 1.0 / n)
@@ -102,7 +97,11 @@ def infonce_batch_loss(
 def _select_negatives(
     row: np.ndarray, pos: int, k: int, mode: str, beta: float, rng: np.random.Generator
 ) -> tuple[list[int], set[int], int]:
-    """Pick k negative indices for one query; returns (picks, filtered, dup)."""
+    """Pick k negative indices for one query; returns (picks, filtered, dup).
+
+    The per-row reference for negatives.select_negatives, kept for tests;
+    training never calls it.
+    """
     m = row.size
     if mode == "hard":
         alpha = ng.false_negative_threshold(float(row[pos]), beta)
@@ -158,18 +157,12 @@ def stage2_train(
         candidate_batch = encoder.encode(corpus.items)
         positives = [corpus.item_index(p.positive_id) for p in batch_pairs]
         sims = query_batch.values @ candidate_batch.values.T
-        negative_lists: list[list[int]] = []
-        filtered_count = 0
-        dup_count = 0
-        for i, pos in enumerate(positives):
-            picks_i, filtered, dup = _select_negatives(
-                sims[i], pos, config.k, negative_mode, config.beta, rng
-            )
-            negative_lists.append(picks_i)
-            filtered_count += bool(filtered)
-            dup_count += dup > 0
+        negatives, filtered, dup = ng.select_negatives(
+            sims, positives, config.k, negative_mode, config.beta, rng
+        )
+        false_neg_pct, duplication_rate = ng.selection_rates(filtered, dup)
         loss = infonce_batch_loss(
-            query_batch.matrix, candidate_batch.matrix, positives, negative_lists, config.tau
+            query_batch.matrix, candidate_batch.matrix, positives, negatives, config.tau
         )
         optim.zero_grads(params)
         ad.backward(loss)
@@ -180,8 +173,8 @@ def stage2_train(
                 step=step,
                 loss=loss.item(),
                 grad_norm=grad_norm,
-                false_neg_pct=100.0 * filtered_count / n_batch,
-                duplication_rate=dup_count / n_batch,
+                false_neg_pct=false_neg_pct,
+                duplication_rate=duplication_rate,
             )
         )
     return trace

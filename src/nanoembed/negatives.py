@@ -7,6 +7,11 @@ positive similarity plus a margin beta. The remaining candidates are
 ranked by descending similarity (ties broken by ascending index) and the
 top k become hard negatives, cycling through the ranked list when fewer
 than k are eligible.
+
+``select_negatives`` applies that rule, and the easy and random modes, to a
+whole query-by-candidate similarity matrix at once; the per-row
+``filter_false_negatives`` and ``sample_hard_negatives`` are the scalar
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -19,8 +24,15 @@ import numpy as np
 from .encoder import EmbeddingBatch
 
 
+NEGATIVE_MODES = ("hard", "easy", "random")
+
+
 class NoEligibleNegativesError(ValueError):
     """Every candidate was the positive or filtered; nothing to sample."""
+
+
+class ModeUnknownError(ValueError):
+    """Requested negative-selection mode is not one of hard/easy/random."""
 
 
 @dataclass(frozen=True)
@@ -113,6 +125,92 @@ def sample_hard_negatives(
     return [int(j) for j in picked]
 
 
+def select_negatives(
+    sims: np.ndarray,
+    positives: Sequence[int],
+    k: int,
+    mode: str,
+    beta: float,
+    rng: np.random.Generator | None,
+    exclude: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pick k negatives for every row of an n x m query-candidate similarity matrix.
+
+    Returns (neg, filtered, dup): neg[i] holds query i's k candidate indices,
+    filtered[i, j] marks candidates dropped as probable false negatives
+    (hard mode only), and dup[i] counts the cyclic repeats query i needed.
+    Candidates marked in ``exclude`` are ineligible without counting as
+    filtered. Hard and easy picks equal the per-row rule of
+    sample_hard_negatives on sims and -sims, ties included. Random mode
+    draws one ``rng.permutation`` per row in row order, so the generator is
+    consumed exactly as a per-query loop would consume it; the other modes
+    never touch ``rng``.
+    """
+    if mode not in NEGATIVE_MODES:
+        raise ModeUnknownError(f"negative_mode must be one of {NEGATIVE_MODES}, got {mode!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    sims = np.asarray(sims, dtype=np.float64)
+    if sims.ndim != 2 or sims.shape[0] == 0:
+        raise ValueError(f"need a nonempty n x m similarity matrix, got shape {sims.shape}")
+    n, m = sims.shape
+    pos = np.asarray(positives, dtype=np.int64)
+    if pos.shape != (n,):
+        raise ValueError(f"{pos.size} positive indices for {n} queries")
+    out_of_range = (pos < 0) | (pos >= m)
+    if out_of_range.any():
+        raise IndexError(f"positive index {pos[out_of_range][0]} out of range for {m} candidates")
+    if not np.isfinite(sims).all():
+        raise ValueError("similarities must be finite")
+
+    rows = np.arange(n)
+    if mode == "hard":
+        alpha = sims[rows, pos] + float(beta)
+        filtered = sims > alpha[:, None]
+        filtered[rows, pos] = False
+    else:
+        filtered = np.zeros((n, m), dtype=bool)
+    ineligible = filtered.copy()
+    ineligible[rows, pos] = True
+    if exclude is not None:
+        exclude = np.asarray(exclude, dtype=bool)
+        if exclude.shape != (n, m):
+            raise ValueError(f"exclude mask shape {exclude.shape} != similarity shape {(n, m)}")
+        ineligible |= exclude
+    eligible = m - np.count_nonzero(ineligible, axis=1)
+    if not eligible.all():
+        query = int(np.flatnonzero(eligible == 0)[0])
+        raise NoEligibleNegativesError(f"query {query}: no eligible candidates remain after filtering")
+    dup = np.maximum(0, k - eligible)
+    # Position of each pick in its row's ranked eligible list, cycling when short.
+    take = np.arange(k) % eligible[:, None]
+
+    if mode == "random":
+        if rng is None:
+            raise ValueError("random mode needs a generator")
+        neg = np.empty((n, k), dtype=np.int64)
+        for i in range(n):
+            neg[i] = rng.permutation(np.flatnonzero(~ineligible[i]))[take[i]]
+        return neg, filtered, dup
+
+    key = -sims if mode == "hard" else sims.copy()
+    key[ineligible] = np.inf
+    kth = min(k, m) - 1
+    bound = np.partition(key, kth, axis=1)[:, kth]
+    # Every eligible entry at or below its row's k-th key, sorted by
+    # (row, key, index): the same order as the per-row lexsort.
+    r, c = np.nonzero((key <= bound[:, None]) & ~ineligible)
+    c = c[np.lexsort((c, key[r, c], r))]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n))[:-1]))
+    return c[starts[:, None] + take], filtered, dup
+
+
+def selection_rates(filtered: np.ndarray, dup: np.ndarray) -> tuple[float, float]:
+    """False-negative percent and duplication rate of one select_negatives call."""
+    n = dup.shape[0]
+    return 100.0 * int(np.count_nonzero(filtered.any(axis=1))) / n, int(np.count_nonzero(dup)) / n
+
+
 def mine_batch(
     queries: EmbeddingBatch,
     candidates: EmbeddingBatch,
@@ -124,41 +222,23 @@ def mine_batch(
         raise ValueError(f"query dim {queries.dim} != candidate dim {candidates.dim}")
     n, m = len(queries), len(candidates)
     positives = [int(p) for p in positives]
-    if len(positives) != n:
-        raise ValueError(f"{len(positives)} positive indices for {n} queries")
-    for pos in positives:
-        if not 0 <= pos < m:
-            raise IndexError(f"positive index {pos} out of range for {m} candidates")
+    exclude = None
+    if config.exclude_other_positives:
+        exclude = np.zeros((n, m), dtype=bool)
+        exclude[:, positives] = True
     sims = queries.values @ candidates.values.T
-
-    positive_set = set(positives)
-    filtered_sets: list[set[int]] = []
-    negative_lists: list[list[int]] = []
-    duplication_counts: list[int] = []
-    for i in range(n):
-        pos = positives[i]
-        row = sims[i]
-        alpha = false_negative_threshold(row[pos], config.beta)
-        filtered = filter_false_negatives(row, pos, alpha)
-        excluded = set(filtered)
-        if config.exclude_other_positives:
-            excluded |= positive_set - {pos}
-        negatives = sample_hard_negatives(row, pos, excluded, config.k)
-        eligible = m - 1 - len(excluded)
-        filtered_sets.append(filtered)
-        negative_lists.append(negatives)
-        duplication_counts.append(max(0, config.k - eligible))
-
+    neg, filtered, dup = select_negatives(sims, positives, config.k, "hard", config.beta, None, exclude)
+    false_neg_pct, duplication_rate = selection_rates(filtered, dup)
     stats = MinerStats(
-        false_neg_pct=100.0 * sum(1 for f in filtered_sets if f) / n,
+        false_neg_pct=false_neg_pct,
         hard_neg_pct=config.k * 100.0 / m,
-        duplication_rate=sum(1 for d in duplication_counts if d > 0) / n,
+        duplication_rate=duplication_rate,
     )
     mined = MinedBatch(
         positive_indices=positives,
-        filtered=filtered_sets,
-        negatives=negative_lists,
-        duplication_counts=duplication_counts,
+        filtered=[set(np.flatnonzero(row).tolist()) for row in filtered],
+        negatives=neg.tolist(),
+        duplication_counts=dup.tolist(),
         k=config.k,
         candidate_count=m,
     )

@@ -275,6 +275,28 @@ class TestEval:
         assert 0.0 <= report["precision_at"]["1"] <= 1.0
 
 
+# A damaged checkpoint file, built from the bytes of a good one.
+DAMAGED_CHECKPOINTS = {
+    "three_bytes": lambda good: good[:3],
+    "truncated_mid_array": lambda good: good[:-100],
+    "trailing_garbage": lambda good: good + b"garbage",
+}
+
+
+class TestDamagedCheckpoint:
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_CHECKPOINTS))
+    def test_eval_reports_error_and_exits_2(self, tmp_path, capsys, damage):
+        config, checkpoint = make_stage1_checkpoint(tmp_path)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(DAMAGED_CHECKPOINTS[damage](checkpoint.read_bytes()))
+        capsys.readouterr()
+        assert run("eval", "--config", config, "--checkpoint", bad, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.bin" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
 class TestAblate:
     def test_beta_sweep_false_neg_column_non_increasing(self, tmp_path):
         config, checkpoint = make_stage1_checkpoint(tmp_path)

@@ -1,5 +1,8 @@
 """Tests for the student encoder, frozen teacher, fusion, and checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -312,6 +315,29 @@ class TestCheckpoint:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(ValueError):
+            enc.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            pytest.param(lambda good: good[:3], "truncated in header", id="three_bytes"),
+            pytest.param(lambda good: good[:8], "truncated in config length", id="no_config"),
+            pytest.param(lambda good: good[:-1], "truncated in array", id="mid_array"),
+            pytest.param(lambda good: good + b"\x00", "1 trailing bytes", id="trailing_byte"),
+        ],
+    )
+    def test_damaged_file_raises_value_error(self, tmp_path, damage, message):
+        path = tmp_path / "model.bin"
+        enc.save_checkpoint(path, enc.Encoder(CFG))
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=message):
+            enc.load_checkpoint(path)
+
+    def test_config_with_unknown_field_raises_value_error(self, tmp_path):
+        blob = json.dumps({"input_dim": 6, "colour": "red"}).encode()
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"NEC1" + struct.pack("<HI", 1, len(blob)) + blob + struct.pack("<I", 0))
+        with pytest.raises(ValueError, match="bad encoder config"):
             enc.load_checkpoint(path)
 
     def test_load_mismatched_names_rejected(self):

@@ -1,15 +1,20 @@
 """Tests for false-negative filtering and hard-negative sampling.
 
 The miner is checked against an independent brute-force implementation
-written with plain Python loops and sorting.
+written with plain Python loops and sorting, and the batched
+select_negatives against the per-row scalar selection it replaces.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nanoembed import autodiff as ad
 from nanoembed import corpus as cp
 from nanoembed import encoder as enc
+from nanoembed import infonce as nce
 from nanoembed import negatives as neg
 
 
@@ -236,3 +241,103 @@ class TestMineBatch:
         rng = np.random.default_rng(10)
         with pytest.raises(IndexError):
             neg.mine_batch(unit_batch(rng, 2, 4, "q"), unit_batch(rng, 3, 4, "c"), [0, 3], neg.MinerConfig())
+
+
+@st.composite
+def similarity_cases(draw):
+    """(sims, positives, k, beta, seed) with ties, short pools and k past m."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 10))
+    sims = draw(hnp.arrays(np.float64, (n, m), elements=st.floats(-1.0, 1.0)))
+    if draw(st.booleans()):
+        sims = np.round(sims, 1)  # a 0.1 grid forces ties
+    positives = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    k = draw(st.integers(1, m + 4))
+    beta = draw(st.floats(-0.3, 0.3))
+    return sims, positives, k, beta, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSelectNegatives:
+    @settings(max_examples=300, deadline=None)
+    @given(similarity_cases(), st.sampled_from(neg.NEGATIVE_MODES))
+    def test_matches_per_row_selection(self, case, mode):
+        sims, positives, k, beta, seed = case
+        row_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            expected = [
+                nce._select_negatives(sims[i], pos, k, mode, beta, row_rng)
+                for i, pos in enumerate(positives)
+            ]
+        except neg.NoEligibleNegativesError:
+            with pytest.raises(neg.NoEligibleNegativesError):
+                neg.select_negatives(sims, positives, k, mode, beta, batch_rng)
+            return
+        picks, filtered, dup = neg.select_negatives(sims, positives, k, mode, beta, batch_rng)
+        assert picks.shape == (len(positives), k)
+        assert picks.tolist() == [e[0] for e in expected]
+        assert [set(np.flatnonzero(row).tolist()) for row in filtered] == [e[1] for e in expected]
+        assert dup.tolist() == [e[2] for e in expected]
+        assert batch_rng.integers(2**62) == row_rng.integers(2**62)  # same stream consumed
+
+    @settings(max_examples=200, deadline=None)
+    @given(similarity_cases(), st.data())
+    def test_exclude_mask_makes_candidates_ineligible(self, case, data):
+        sims, positives, k, beta, seed = case
+        n, m = sims.shape
+        exclude = data.draw(hnp.arrays(np.bool_, (n, m)))
+        rows = []
+        for i, pos in enumerate(positives):
+            alpha = neg.false_negative_threshold(sims[i, pos], beta)
+            filtered = neg.filter_false_negatives(sims[i], pos, alpha)
+            excluded = {int(j) for j in np.flatnonzero(exclude[i]) if j != pos}
+            rows.append((filtered, excluded))
+        if any(len(f | x) == m - 1 for f, x in rows):
+            with pytest.raises(neg.NoEligibleNegativesError):
+                neg.select_negatives(sims, positives, k, "hard", beta, None, exclude)
+            return
+        picks, filtered, dup = neg.select_negatives(sims, positives, k, "hard", beta, None, exclude)
+        easy, _, _ = neg.select_negatives(sims, positives, k, "easy", beta, None, exclude)
+        rng = np.random.default_rng(seed)
+        drawn, _, _ = neg.select_negatives(sims, positives, k, "random", beta, rng, exclude)
+        for i, (pos, (row_filtered, excluded)) in enumerate(zip(positives, rows)):
+            assert set(np.flatnonzero(filtered[i]).tolist()) == row_filtered
+            assert picks[i].tolist() == neg.sample_hard_negatives(sims[i], pos, row_filtered | excluded, k)
+            assert easy[i].tolist() == neg.sample_hard_negatives(-sims[i], pos, excluded, k)
+            assert dup[i] == max(0, k - (m - 1 - len(row_filtered | excluded)))
+            assert not set(drawn[i].tolist()) & (excluded | {pos})
+
+    @settings(max_examples=50, deadline=None)
+    @given(similarity_cases(), st.sampled_from(neg.NEGATIVE_MODES), st.data())
+    def test_positive_out_of_range_raises_index_error(self, case, mode, data):
+        sims, positives, k, beta, seed = case
+        m = sims.shape[1]
+        i = data.draw(st.integers(0, len(positives) - 1))
+        positives[i] = data.draw(st.one_of(st.integers(-m - 3, -1), st.integers(m, m + 3)))
+        with pytest.raises(IndexError):
+            neg.select_negatives(sims, positives, k, mode, beta, np.random.default_rng(seed))
+
+    @settings(max_examples=50, deadline=None)
+    @given(similarity_cases())
+    def test_everything_filtered_raises(self, case):
+        sims, positives, k, _, _ = case
+        # beta -3 puts every other candidate of a [-1, 1] row above the threshold
+        with pytest.raises(neg.NoEligibleNegativesError):
+            neg.select_negatives(sims, positives, k, "hard", -3.0, None)
+
+    @settings(max_examples=50, deadline=None)
+    @given(similarity_cases(), st.sampled_from(neg.NEGATIVE_MODES), st.data())
+    def test_non_finite_similarity_raises_value_error(self, case, mode, data):
+        sims, positives, k, beta, seed = case
+        i = data.draw(st.integers(0, sims.shape[0] - 1))
+        j = data.draw(st.integers(0, sims.shape[1] - 1))
+        sims[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(ValueError, match="finite"):
+            neg.select_negatives(sims, positives, k, mode, beta, np.random.default_rng(seed))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(neg.ModeUnknownError):
+            neg.select_negatives(np.zeros((1, 2)), [0], 1, "medium", 0.0, None)
+
+    def test_random_mode_needs_a_generator(self):
+        with pytest.raises(ValueError, match="generator"):
+            neg.select_negatives(np.zeros((1, 3)), [0], 1, "random", 0.0, None)
