@@ -32,7 +32,6 @@ from .encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from .gradcache import CachePlan, ContrastiveObjective, cached_step
 from .metrics import StepMetrics, write_trace
 from .retrieval import evaluate_checkpoint
 
@@ -244,6 +243,7 @@ def _starting_encoder(cfg: RunConfig, checkpoint: str | None) -> Encoder:
     return load_checkpoint(checkpoint_path)
 
 
+# Kept only because bench/tracer.py resolves it by name; training no longer calls it.
 def _mining_stats(
     sims: np.ndarray, positives: list[int], miner: ng.MinerConfig, mode: str
 ) -> tuple[float, float]:
@@ -253,6 +253,7 @@ def _mining_stats(
     return ng.selection_rates(filtered, dup)
 
 
+# A separate function only so that bench/tracer.py can time the cached path by name.
 def _stage2_cached(
     encoder: Encoder,
     corpus: Corpus,
@@ -263,54 +264,10 @@ def _stage2_cached(
     seed: int,
     sub_batch: int,
 ) -> list[StepMetrics]:
-    """Gradient-cached twin of infonce.stage2_train.
-
-    Batch selection replays the exact draw sequence of the naive loop, and
-    hard/easy mining is a pure function of the embeddings, so the two paths
-    walk the same trajectory up to float round-off.
-    """
-    if mode not in ng.NEGATIVE_MODES:
-        raise ng.ModeUnknownError(f"negative_mode must be one of {ng.NEGATIVE_MODES}, got {mode!r}")
-    pairs = corpus.pairs
-    if not pairs:
-        raise ValueError("corpus has no query/positive pairs")
-    n_batch = len(pairs)
-    rng = np.random.default_rng(seed)
-    params = encoder.parameters()
-    optimizer = optim.make_optimizer(settings)
-    trace: list[StepMetrics] = []
-    for step in range(steps):
-        picks = rng.choice(len(pairs), size=n_batch, replace=False)
-        batch_pairs = [pairs[int(i)] for i in picks]
-        items = [p.query for p in batch_pairs] + list(corpus.items)
-        positives = [corpus.item_index(p.positive_id) for p in batch_pairs]
-        objective = ContrastiveObjective(
-            n_queries=n_batch,
-            positives=tuple(positives),
-            config=miner,
-            mode=mode,
-            seed=seed + step,
-        )
-        plan = CachePlan(effective_batch=len(items), sub_batch=min(sub_batch, len(items)))
-        query_values = encoder.encode([p.query for p in batch_pairs], record=False).values
-        candidate_values = encoder.encode(corpus.items, record=False).values
-        false_neg_pct, duplication_rate = _mining_stats(
-            query_values @ candidate_values.T, positives, miner, mode
-        )
-        grads, loss, _ = cached_step(encoder, items, objective, plan)
-        del grads  # the parameters already hold the accumulated gradients
-        grad_norm = optim.clip_global_norm(params, settings.clip_norm)
-        optimizer.step(params)
-        trace.append(
-            StepMetrics(
-                step=step,
-                loss=loss,
-                grad_norm=grad_norm,
-                false_neg_pct=false_neg_pct,
-                duplication_rate=duplication_rate,
-            )
-        )
-    return trace
+    """Stage 2 through the gradient cache: infonce.stage2_train with sub_batch set."""
+    return nce.stage2_train(
+        encoder, corpus, miner, settings, steps, negative_mode=mode, seed=seed, sub_batch=sub_batch
+    )
 
 
 def _write_report(out_dir: Path, encoder: Encoder, corpus: Corpus) -> str:

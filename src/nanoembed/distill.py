@@ -21,8 +21,6 @@ from .corpus import Corpus
 from .encoder import EmbeddingBatch, Encoder, ItemRecord
 from .metrics import StepMetrics
 
-KL_NUMERATORS = ("pairwise", "transpose")
-
 
 class BatchSizeMismatchError(ValueError):
     """Student and teacher batches disagree on row count."""
@@ -38,56 +36,38 @@ class TeacherSource(Protocol):
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Stage-1 knobs: softmax temperature and mini-batch size.
-
-    kl_numerator picks which similarity index pairs the row distributions;
-    "pairwise" reads row i as similarities of every member against sample i,
-    "transpose" swaps the roles.  The two coincide for symmetric cosine
-    similarity and exist to make the construction auditable.
-    """
+    """Stage-1 knobs: softmax temperature and mini-batch size."""
 
     tau: float = 0.05
     batch_size: int = 16
-    kl_numerator: str = "pairwise"
 
     def __post_init__(self):
         if not self.tau > 0.0:
             raise ad.NonPositiveTemperatureError(f"tau must be > 0, got {self.tau}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.kl_numerator not in KL_NUMERATORS:
-            raise ValueError(f"kl_numerator must be one of {KL_NUMERATORS}, got {self.kl_numerator!r}")
 
 
-def _self_similarities(matrix: Tensor, numerator: str) -> Tensor:
-    sims = ad.matmul(matrix, ad.transpose(matrix))
-    if numerator == "transpose":
-        sims = ad.transpose(sims)
-    return sims
+def _self_similarities(matrix: Tensor) -> Tensor:
+    return ad.matmul(matrix, ad.transpose(matrix))
 
 
-def similarity_distribution(e: EmbeddingBatch, tau: float, numerator: str = "pairwise") -> Tensor:
+def similarity_distribution(e: EmbeddingBatch, tau: float) -> Tensor:
     """Row-stochastic n x n matrix: row i is sample i's softmax over the batch."""
-    if numerator not in KL_NUMERATORS:
-        raise ValueError(f"numerator must be one of {KL_NUMERATORS}, got {numerator!r}")
-    return ad.softmax_rows(_self_similarities(e.matrix, numerator), tau)
+    return ad.softmax_rows(_self_similarities(e.matrix), tau)
 
 
-def kl_distillation_loss(
-    e_s: EmbeddingBatch, e_t: EmbeddingBatch, tau: float, numerator: str = "pairwise"
-) -> Tensor:
+def kl_distillation_loss(e_s: EmbeddingBatch, e_t: EmbeddingBatch, tau: float) -> Tensor:
     """Sum over rows of KL(student distribution || teacher distribution).
 
     Nonnegative; zero when the two similarity matrices agree.  The teacher
     matrix is re-wrapped as a constant, so no gradient can reach it even if
     the caller passes a recording batch.
     """
-    if numerator not in KL_NUMERATORS:
-        raise ValueError(f"numerator must be one of {KL_NUMERATORS}, got {numerator!r}")
     if len(e_s) != len(e_t):
         raise BatchSizeMismatchError(f"student batch has {len(e_s)} rows, teacher {len(e_t)}")
-    student_sims = _self_similarities(e_s.matrix, numerator)
-    teacher_sims = _self_similarities(ad.constant(e_t.values), numerator)
+    student_sims = _self_similarities(e_s.matrix)
+    teacher_sims = _self_similarities(ad.constant(e_t.values))
     p_student = ad.softmax_rows(student_sims, tau)
     log_gap = ad.sub(ad.log_softmax_rows(student_sims, tau), ad.log_softmax_rows(teacher_sims, tau))
     return ad.total_sum(ad.mul(p_student, log_gap))
@@ -123,7 +103,7 @@ def stage1_train(
         items = [pool[int(i)] for i in picks]
         student = encoder.encode(items)
         frozen = teacher.encode(items)
-        loss = kl_distillation_loss(student, frozen, config.tau, config.kl_numerator)
+        loss = kl_distillation_loss(student, frozen, config.tau)
         optim.zero_grads(params)
         ad.backward(loss)
         grad_norm = optim.clip_global_norm(params, settings.clip_norm)

@@ -328,7 +328,8 @@ def save_checkpoint(path, encoder: Encoder) -> None:
 
 
 def load_checkpoint(path) -> Encoder:
-    """Read a save_checkpoint file; a short, overlong or malformed one raises ValueError."""
+    """Read a save_checkpoint file; a short, overlong, malformed or
+    non-finite one raises ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     offset = 0
@@ -361,6 +362,8 @@ def load_checkpoint(path) -> Encoder:
         name = take(name_len, "array name").decode()
         rows, cols = unpack("<II", f"shape of {name}")
         data = np.frombuffer(take(rows * cols * 8, f"array {name}"), dtype="<f8").reshape(rows, cols)
+        if not np.isfinite(data).all():
+            raise ValueError(f"{path}: array {name} holds non-finite weights")
         arrays.append((name, data.astype(np.float64)))
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last array")

@@ -11,16 +11,15 @@ reproduces the naive full-batch gradient because encoding is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from . import infonce as nce
 from . import negatives as ng
 from .autodiff import Tensor
-from .distill import KL_NUMERATORS, kl_distillation_loss
+from .distill import kl_distillation_loss
 from .encoder import EmbeddingBatch, Encoder, ItemRecord
 
 
@@ -59,31 +58,30 @@ class DistillObjective:
 
     teacher: EmbeddingBatch
     tau: float = 0.05
-    numerator: str = "pairwise"
-
-    def __post_init__(self):
-        if self.numerator not in KL_NUMERATORS:
-            raise ValueError(f"numerator must be one of {KL_NUMERATORS}, got {self.numerator!r}")
 
     def loss_on(self, emb: EmbeddingBatch) -> Tensor:
         if emb.ids != self.teacher.ids:
             raise ValueError("embedding batch ids do not match the teacher's")
-        return kl_distillation_loss(emb, self.teacher, self.tau, self.numerator)
+        return kl_distillation_loss(emb, self.teacher, self.tau)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ContrastiveObjective:
     """InfoNCE over a batch laid out as n_queries query rows then candidates.
 
     Negative selection runs on plain embedding values, outside the graph, so
-    the naive and cached paths mine from the same numbers.
+    the naive and cached paths mine from the same numbers.  seed is an int
+    (each mine starts a fresh generator) or a Generator (each mine draws on
+    from it).  selection_rates holds the FalseNeg% and duplication rate of
+    the latest mine.
     """
 
     n_queries: int
     positives: tuple[int, ...]
     config: ng.MinerConfig
     mode: str = "hard"
-    seed: int = 0
+    seed: int | np.random.Generator = 0
+    selection_rates: tuple[float, float] | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.n_queries < 1:
@@ -107,12 +105,15 @@ class ContrastiveObjective:
         self._split(values.shape[0])
         queries, candidates = values[: self.n_queries], values[self.n_queries :]
         rng = np.random.default_rng(self.seed)
-        negatives, _, _ = ng.select_negatives(
+        negatives, filtered, dup = ng.select_negatives(
             queries @ candidates.T, self.positives, self.config.k, self.mode, self.config.beta, rng
         )
+        self.selection_rates = ng.selection_rates(filtered, dup)
         return negatives.tolist()
 
     def loss_on(self, emb: EmbeddingBatch) -> Tensor:
+        from . import infonce as nce  # imported here because infonce imports this module
+
         n_candidates = self._split(len(emb))
         negative_lists = self.mine(emb.values)
         query_rows = ad.gather_rows(emb.matrix, list(range(self.n_queries)))

@@ -1,5 +1,6 @@
 """Stage-2 contrastive objective: InfoNCE over a query, its positive, and k
-mined negatives, with the training loop that drives it.
+mined negatives, with the training loop that drives it, naive or through
+the two-pass gradient cache.
 
 The loss is computed in log space with max subtraction, so saturated batches
 stay finite.  Negatives come from negatives.select_negatives in one of three
@@ -20,6 +21,7 @@ from . import optim
 from .autodiff import Tensor
 from .corpus import Corpus
 from .encoder import Encoder, NonUnitRowError
+from .gradcache import CachePlan, ContrastiveObjective, cached_step
 from .metrics import StepMetrics
 from .negatives import NEGATIVE_MODES, ModeUnknownError  # re-exported
 
@@ -129,14 +131,18 @@ def stage2_train(
     steps: int,
     negative_mode: str = "hard",
     seed: int = 0,
-    batch_size: int | None = None,
+    sub_batch: int | None = None,
 ) -> list[StepMetrics]:
     """Contrastive fine-tuning against the full candidate pool.
 
-    Every step encodes a seeded sample of queries (all of them when
-    batch_size is None) plus every candidate item, mines per-query negatives
-    in the requested mode, and descends the mean InfoNCE loss.  The trace
-    records the pre-clip gradient norm.
+    Every step encodes a seeded permutation of all queries plus every
+    candidate item, mines per-query negatives in the requested mode, and
+    descends the mean InfoNCE loss.  With sub_batch set, each step runs
+    through the two-pass gradient cache over sub-batches of that many rows
+    and mines once, on the pass-1 embeddings.  Batch and random-negative
+    draws come from one generator in the same order on both paths, so they
+    walk the same trajectory up to float round-off.  The trace records the
+    pre-clip gradient norm.
     """
     if negative_mode not in NEGATIVE_MODES:
         raise ModeUnknownError(f"negative_mode must be one of {NEGATIVE_MODES}, got {negative_mode!r}")
@@ -145,36 +151,48 @@ def stage2_train(
     pairs = corpus.pairs
     if not pairs:
         raise ValueError("corpus has no query/positive pairs")
-    n_batch = len(pairs) if batch_size is None else min(batch_size, len(pairs))
     rng = np.random.default_rng(seed)
     params = encoder.parameters()
     optimizer = optim.make_optimizer(settings)
     trace: list[StepMetrics] = []
     for step in range(steps):
-        picks = rng.choice(len(pairs), size=n_batch, replace=False)
+        picks = rng.choice(len(pairs), size=len(pairs), replace=False)
         batch_pairs = [pairs[int(i)] for i in picks]
-        query_batch = encoder.encode([p.query for p in batch_pairs])
-        candidate_batch = encoder.encode(corpus.items)
+        queries = [p.query for p in batch_pairs]
         positives = [corpus.item_index(p.positive_id) for p in batch_pairs]
-        sims = query_batch.values @ candidate_batch.values.T
-        negatives, filtered, dup = ng.select_negatives(
-            sims, positives, config.k, negative_mode, config.beta, rng
-        )
-        false_neg_pct, duplication_rate = ng.selection_rates(filtered, dup)
-        loss = infonce_batch_loss(
-            query_batch.matrix, candidate_batch.matrix, positives, negatives, config.tau
-        )
-        optim.zero_grads(params)
-        ad.backward(loss)
+        if sub_batch is None:
+            query_batch = encoder.encode(queries)
+            candidate_batch = encoder.encode(corpus.items)
+            sims = query_batch.values @ candidate_batch.values.T
+            negatives, filtered, dup = ng.select_negatives(
+                sims, positives, config.k, negative_mode, config.beta, rng
+            )
+            rates = ng.selection_rates(filtered, dup)
+            batch_loss = infonce_batch_loss(
+                query_batch.matrix, candidate_batch.matrix, positives, negatives, config.tau
+            )
+            optim.zero_grads(params)
+            ad.backward(batch_loss)
+            loss = batch_loss.item()
+        else:
+            # default_rng(rng) returns rng itself, so mining draws from the loop's stream.
+            objective = ContrastiveObjective(
+                n_queries=len(queries), positives=tuple(positives), config=config,
+                mode=negative_mode, seed=rng,
+            )
+            items = queries + list(corpus.items)
+            plan = CachePlan(effective_batch=len(items), sub_batch=min(sub_batch, len(items)))
+            _, loss, _ = cached_step(encoder, items, objective, plan)
+            rates = objective.selection_rates
         grad_norm = optim.clip_global_norm(params, settings.clip_norm)
         optimizer.step(params)
         trace.append(
             StepMetrics(
                 step=step,
-                loss=loss.item(),
+                loss=loss,
                 grad_norm=grad_norm,
-                false_neg_pct=false_neg_pct,
-                duplication_rate=duplication_rate,
+                false_neg_pct=rates[0],
+                duplication_rate=rates[1],
             )
         )
     return trace

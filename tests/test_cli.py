@@ -3,12 +3,14 @@ rerun determinism, and the gradcache-equality guarantee."""
 
 import json
 import statistics
+import struct
 
 import numpy as np
 import pytest
 
+from nanoembed import negatives as ng
 from nanoembed.cli import ConfigError, load_config, main
-from nanoembed.encoder import load_checkpoint
+from nanoembed.encoder import Encoder, load_checkpoint
 from nanoembed.metrics import read_trace
 
 
@@ -116,6 +118,11 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="miner"):
             load_config(path)
 
+    def test_removed_kl_numerator_is_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, distill={"batch_size": 8, "kl_numerator": "pairwise"})
+        assert run("stage1", "--config", config, "--out", tmp_path / "out") == 2
+        assert "kl_numerator" in capsys.readouterr().err
+
     def test_negative_steps_rejected(self, tmp_path):
         path = write_config(tmp_path, optimizer={"steps": -1})
         with pytest.raises(ConfigError, match="steps"):
@@ -212,17 +219,39 @@ class TestStage2:
             terminal[mode] = statistics.mean(losses[-10:])
         assert terminal["hard"] > terminal["easy"]
 
-    def test_gradcache_on_and_off_reach_equal_parameters(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["hard", "easy", "random"])
+    def test_gradcache_on_and_off_reach_equal_parameters(self, tmp_path, mode):
         config, checkpoint = make_stage1_checkpoint(tmp_path)
         cached = write_config(tmp_path, name="cached.json", gradcache={"enabled": True, "sub_batch": 5})
         for cfg, out in ((config, "off"), (cached, "on")):
-            assert run("stage2", "--config", cfg, "--checkpoint", checkpoint,
+            assert run("stage2", "--config", cfg, "--checkpoint", checkpoint, "--mode", mode,
                        "--out", tmp_path / out) == 0
         off = load_checkpoint(tmp_path / "off" / "checkpoint.bin").weight_arrays()
         on = load_checkpoint(tmp_path / "on" / "checkpoint.bin").weight_arrays()
         for (name_off, values_off), (name_on, values_on) in zip(off, on):
             assert name_off == name_on
             np.testing.assert_allclose(values_on, values_off, rtol=0.0, atol=1e-7)
+
+    def test_cached_step_mines_once_and_encodes_each_row_twice(self, tmp_path, monkeypatch):
+        config, checkpoint = make_stage1_checkpoint(tmp_path)
+        cached = write_config(tmp_path, name="cached.json", gradcache={"enabled": True, "sub_batch": 5})
+        corpus = load_config(cached).load_corpus()
+        calls, rows = [], []
+        select, encode = ng.select_negatives, Encoder.encode
+
+        def counting_select(*args, **kwargs):
+            calls.append(1)
+            return select(*args, **kwargs)
+
+        def counting_encode(self, items, *args, **kwargs):
+            rows.append(len(items))
+            return encode(self, items, *args, **kwargs)
+
+        monkeypatch.setattr(ng, "select_negatives", counting_select)
+        monkeypatch.setattr(Encoder, "encode", counting_encode)
+        assert run("stage2", "--config", cached, "--checkpoint", checkpoint, "--out", tmp_path / "on") == 0
+        assert len(calls) == 12
+        assert sum(rows) == 12 * 2 * (len(corpus.pairs) + len(corpus.items))
 
     def test_gradcache_rerun_is_byte_identical(self, tmp_path):
         config, checkpoint = make_stage1_checkpoint(tmp_path)
@@ -280,6 +309,8 @@ DAMAGED_CHECKPOINTS = {
     "three_bytes": lambda good: good[:3],
     "truncated_mid_array": lambda good: good[:-100],
     "trailing_garbage": lambda good: good + b"garbage",
+    "nan_weight": lambda good: good[:-8] + struct.pack("<d", float("nan")),
+    "inf_weight": lambda good: good[:-8] + struct.pack("<d", float("inf")),
 }
 
 
@@ -295,6 +326,19 @@ class TestDamagedCheckpoint:
         assert err.startswith("error: ") and "bad.bin" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("damage", ["inf_weight", "nan_weight"])
+    def test_stage2_reports_error_and_exits_2(self, tmp_path, capsys, damage):
+        config, checkpoint = make_stage1_checkpoint(tmp_path)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(DAMAGED_CHECKPOINTS[damage](checkpoint.read_bytes()))
+        capsys.readouterr()
+        assert run("stage2", "--config", config, "--checkpoint", bad, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.bin" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "trace.jsonl").exists()
+        assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
 
 class TestAblate:

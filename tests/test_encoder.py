@@ -324,6 +324,8 @@ class TestCheckpoint:
             pytest.param(lambda good: good[:8], "truncated in config length", id="no_config"),
             pytest.param(lambda good: good[:-1], "truncated in array", id="mid_array"),
             pytest.param(lambda good: good + b"\x00", "1 trailing bytes", id="trailing_byte"),
+            pytest.param(lambda good: good[:-8] + struct.pack("<d", np.nan), "non-finite", id="nan_weight"),
+            pytest.param(lambda good: good[:-8] + struct.pack("<d", -np.inf), "non-finite", id="inf_weight"),
         ],
     )
     def test_damaged_file_raises_value_error(self, tmp_path, damage, message):
