@@ -120,26 +120,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 def constant(values) -> Tensor:
     """A tensor outside the gradient graph."""
@@ -311,7 +291,8 @@ def row_l2_normalize(a: Tensor) -> Tensor:
     return _from_op(out_values, (a,), vjp)
 
 
-def _check_tau(tau: float) -> float:
+def check_tau(tau: float) -> float:
+    """tau as a float; raises NonPositiveTemperatureError unless it is > 0."""
     tau = float(tau)
     if not tau > 0.0:
         raise NonPositiveTemperatureError(f"temperature must be > 0, got {tau}")
@@ -320,7 +301,7 @@ def _check_tau(tau: float) -> float:
 
 def softmax_rows(a: Tensor, tau: float = 1.0) -> Tensor:
     """Row-wise softmax of a / tau, stabilized by row-max subtraction."""
-    tau = _check_tau(tau)
+    tau = check_tau(tau)
     z = a.values / tau
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -335,7 +316,7 @@ def softmax_rows(a: Tensor, tau: float = 1.0) -> Tensor:
 
 def log_softmax_rows(a: Tensor, tau: float = 1.0) -> Tensor:
     """Row-wise log-softmax of a / tau, stabilized by row-max subtraction."""
-    tau = _check_tau(tau)
+    tau = check_tau(tau)
     z = a.values / tau
     m = z.max(axis=1, keepdims=True)
     shifted = z - m

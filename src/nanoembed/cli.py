@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ import numpy as np
 from . import infonce as nce
 from . import negatives as ng
 from . import optim
+from .atomic import atomic_open
 from .corpus import Corpus, CorpusSpec, generate, read_corpus
 from .distill import DistillConfig, stage1_train
 from .encoder import (
@@ -69,6 +70,7 @@ class RunConfig:
 
     Exactly one of corpus_spec and corpus_path is set; a path is checked
     for existence when the config loads, not when the corpus is first read.
+    gradcache_sub_batch is None unless the gradient cache is enabled.
     """
 
     corpus_spec: CorpusSpec | None
@@ -80,8 +82,7 @@ class RunConfig:
     miner: ng.MinerConfig
     optimizer: optim.OptimizerSettings
     steps: int
-    gradcache_enabled: bool
-    gradcache_sub_batch: int
+    gradcache_sub_batch: int | None
     sweep: dict[str, list[float]] | None
     seed: int
     output_dir: Path
@@ -99,12 +100,18 @@ def _section(raw: dict, name: str) -> dict:
     return dict(value)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: 2.0 and true are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _build(section: str, factory, kwargs: dict):
+    for f in fields(factory):
+        if f.type in (int, "int") and f.name in kwargs and not _is_int(kwargs[f.name]):
+            raise ConfigError(f"bad {section!r} config: {f.name} must be an integer, got {kwargs[f.name]!r}")
     try:
         return factory(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad {section!r} config: {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {section!r} config: {exc}") from None
 
 
@@ -119,7 +126,11 @@ def _load_sweep(raw: dict) -> dict[str, list[float]] | None:
         raise ConfigError(f"sweep parameter must be 'beta' or 'k', got {name!r}")
     if not isinstance(values, list) or not values:
         raise ConfigError(f"sweep over {name!r} needs a nonempty list of values")
-    return {name: [float(v) if name == "beta" else int(v) for v in values]}
+    if name == "k":
+        if not all(_is_int(v) for v in values):
+            raise ConfigError(f"sweep over 'k' needs integer values, got {values!r}")
+        return {name: values}
+    return {name: [float(v) for v in values]}
 
 
 def load_config(
@@ -149,7 +160,7 @@ def load_config(
             raise ConfigError(f"{ENV_SEED} must be an integer, got {os.environ[ENV_SEED]!r}") from None
     if seed_override is not None:
         seed = seed_override
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
 
     output_dir = raw.get("output_dir", "runs")
@@ -204,7 +215,7 @@ def load_config(
 
     optimizer_raw = {**_OPTIMIZER_DEFAULTS, **_section(raw, "optimizer")}
     steps = optimizer_raw.pop("steps", _DEFAULT_STEPS)
-    if not isinstance(steps, int) or steps < 0:
+    if not _is_int(steps) or steps < 0:
         raise ConfigError(f"optimizer steps must be a nonnegative integer, got {steps!r}")
     optimizer = _build("optimizer", optim.OptimizerSettings, optimizer_raw)
 
@@ -212,8 +223,10 @@ def load_config(
     extras = sorted(set(gradcache_raw) - set(_GRADCACHE_DEFAULTS))
     if extras:
         raise ConfigError(f"unknown gradcache keys: {', '.join(extras)}")
-    sub_batch = gradcache_raw["sub_batch"]
-    if not isinstance(sub_batch, int) or sub_batch < 1:
+    enabled, sub_batch = gradcache_raw["enabled"], gradcache_raw["sub_batch"]
+    if not isinstance(enabled, bool):
+        raise ConfigError(f"gradcache enabled must be true or false, got {enabled!r}")
+    if not _is_int(sub_batch) or sub_batch < 1:
         raise ConfigError(f"gradcache sub_batch must be a positive integer, got {sub_batch!r}")
 
     return RunConfig(
@@ -226,8 +239,7 @@ def load_config(
         miner=miner,
         optimizer=optimizer,
         steps=steps,
-        gradcache_enabled=bool(gradcache_raw["enabled"]),
-        gradcache_sub_batch=sub_batch,
+        gradcache_sub_batch=sub_batch if enabled else None,
         sweep=_load_sweep(raw),
         seed=seed,
         output_dir=Path(output_dir),
@@ -273,7 +285,9 @@ def _stage2_cached(
 def _write_report(out_dir: Path, encoder: Encoder, corpus: Corpus) -> str:
     ks = (1, 5) if len(corpus.items) >= 5 else (1,)
     report = evaluate_checkpoint(encoder, corpus, ks=ks)
-    (out_dir / "report.json").write_text(report.to_json() + "\n")
+    with atomic_open(out_dir / "report.json") as handle:
+        handle.write(report.to_json())
+        handle.write("\n")
     return "report.json"
 
 
@@ -292,7 +306,7 @@ def cmd_stage1(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
 def cmd_stage2(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     corpus = cfg.load_corpus()
     encoder = _starting_encoder(cfg, args.checkpoint)
-    if cfg.gradcache_enabled:
+    if cfg.gradcache_sub_batch is not None:
         trace = _stage2_cached(
             encoder,
             corpus,
@@ -344,10 +358,14 @@ def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
         _, stats = ng.mine_batch(query_batch, candidate_batch, positives, miner)
         pct = stats.false_neg_pct if name == "beta" else stats.hard_neg_pct
         encoder = _starting_encoder(cfg, args.checkpoint)
-        nce.stage2_train(encoder, corpus, miner, cfg.optimizer, cfg.steps, seed=cfg.seed)
+        nce.stage2_train(
+            encoder, corpus, miner, cfg.optimizer, cfg.steps, seed=cfg.seed,
+            sub_batch=cfg.gradcache_sub_batch,
+        )
         report = evaluate_checkpoint(encoder, corpus, ks=(1,))
         lines.append(f"{value!r},{pct!r},{report.precision_at[1]!r}")
-    (cfg.output_dir / "ablation.csv").write_text("\n".join(lines) + "\n")
+    with atomic_open(cfg.output_dir / "ablation.csv") as handle:
+        handle.write("\n".join(lines) + "\n")
     return ["ablation.csv"]
 
 
@@ -364,6 +382,7 @@ def cmd_tracegrad(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
             cfg.steps,
             negative_mode=mode,
             seed=cfg.seed,
+            sub_batch=cfg.gradcache_sub_batch,
         )
         filename = f"trace_{mode}.jsonl"
         write_trace(cfg.output_dir / filename, trace)
@@ -428,7 +447,8 @@ def main(argv: list[str] | None = None) -> int:
         "started_at": time.strftime(stamp, time.gmtime(started)),
         "finished_at": time.strftime(stamp, time.gmtime(finished)),
     }
-    (cfg.output_dir / "run_info.json").write_text(json.dumps(info, indent=2, sort_keys=True) + "\n")
+    with atomic_open(cfg.output_dir / "run_info.json") as handle:
+        handle.write(json.dumps(info, indent=2, sort_keys=True) + "\n")
     for filename in outputs:
         print(cfg.output_dir / filename)
     return 0

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import DimMismatchError, EmbeddingBatch, ItemRecord, NonUnitRowError
+from .encoder import DimMismatchError, EmbeddingBatch, ItemRecord
 from . import autodiff as ad
 
 PLANTED_SUFFIX = "#dup"
@@ -342,10 +342,6 @@ def read_embeddings(path, ids: Sequence[str] | None = None) -> EmbeddingBatch:
             if len(parts) != d:
                 raise DimMismatchError(f"line {i + 2}: expected {d} values, got {len(parts)}")
             rows[i] = [float(p) for p in parts]
-    norms = np.linalg.norm(rows, axis=1)
-    if n and np.abs(norms - 1.0).max() > 1e-10:
-        bad = int(np.abs(norms - 1.0).argmax())
-        raise NonUnitRowError(f"row {bad} has norm {norms[bad]!r}, expected unit within 1e-10")
     if ids is None:
         ids = [f"row{i}" for i in range(n)]
     elif len(ids) != n:

@@ -14,11 +14,12 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import atomic_open
 from .autodiff import Parameter, Tensor
 
 _CHECKPOINT_MAGIC = b"NEC1"
@@ -268,15 +269,11 @@ def fuse_multimodal(e_a: np.ndarray, e_b: np.ndarray) -> np.ndarray:
     return s / norm
 
 
-def embed_items(
-    encoder: Encoder,
-    items: Sequence[ItemRecord],
-    fuser: Callable[[np.ndarray, np.ndarray], np.ndarray] = fuse_multimodal,
-) -> EmbeddingBatch:
+def embed_items(encoder: Encoder, items: Sequence[ItemRecord]) -> EmbeddingBatch:
     """Gradient-free embedding of mixed-modality items.
 
     Fused items split their position sequence in half; each half is encoded
-    on its own and the two embeddings are combined with ``fuser``.
+    on its own and the two embeddings are combined with fuse_multimodal.
     """
     items = list(items)
     if not items:
@@ -296,7 +293,7 @@ def embed_items(
         part_a = ItemRecord(f"{it.id}/a", "text", it.features[:half], it.group)
         part_b = ItemRecord(f"{it.id}/b", "image", it.features[half:], it.group)
         pair = encoder.encode([part_a, part_b], record=False)
-        rows[it.id] = fuser(pair.values[0], pair.values[1])
+        rows[it.id] = fuse_multimodal(pair.values[0], pair.values[1])
     return EmbeddingBatch([it.id for it in items], ad.constant(np.stack([rows[it.id] for it in items])))
 
 
@@ -314,7 +311,7 @@ def save_checkpoint(path, encoder: Encoder) -> None:
         sort_keys=True,
     ).encode()
     arrays = encoder.weight_arrays()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(struct.pack("<4sH", _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(config_blob)))
         fh.write(config_blob)

@@ -57,16 +57,10 @@ class ContrastiveTriple:
         return self.e_neg.shape[0]
 
 
-def _check_tau(tau: float) -> float:
-    if not tau > 0.0:
-        raise ad.NonPositiveTemperatureError(f"tau must be > 0, got {tau}")
-    return float(tau)
-
-
 def infonce_hard_loss(triple: ContrastiveTriple, tau: float) -> Tensor:
     """-log of the positive's softmax weight among positive plus negatives."""
     candidates = ad.concat_rows([triple.e_pos, triple.e_neg])
-    logits = ad.scale(ad.matmul(triple.e_q, ad.transpose(candidates)), 1.0 / _check_tau(tau))
+    logits = ad.scale(ad.matmul(triple.e_q, ad.transpose(candidates)), 1.0 / ad.check_tau(tau))
     return ad.sub(ad.row_log_sum_exp(logits), ad.gather_columns(logits, [[0]]))
 
 
@@ -91,7 +85,7 @@ def infonce_batch_loss(
         raise ValueError(f"negative lists must share one length, got {sorted(widths)}")
     sims = ad.matmul(queries, ad.transpose(candidates))
     cols = np.column_stack((positives, negatives))
-    logits = ad.scale(ad.gather_columns(sims, cols), 1.0 / _check_tau(tau))
+    logits = ad.scale(ad.gather_columns(sims, cols), 1.0 / ad.check_tau(tau))
     per_query = ad.sub(ad.row_log_sum_exp(logits), ad.gather_columns(logits, [[0]] * n))
     return ad.scale(ad.total_sum(per_query), 1.0 / n)
 

@@ -12,6 +12,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .atomic import atomic_open
+
 FIELD_ORDER = ("step", "loss", "grad_norm", "false_neg_pct", "duplication_rate")
 
 
@@ -51,7 +53,7 @@ class StepMetrics:
 
 
 def write_trace(path: str | Path, trace: Iterable[StepMetrics]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         for record in trace:
             handle.write(record.to_json() + "\n")
 

@@ -42,7 +42,6 @@ class MinerConfig:
     beta: float = 0.1
     k: int = 8
     tau: float = 0.05
-    exclude_other_positives: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -132,19 +131,16 @@ def select_negatives(
     mode: str,
     beta: float,
     rng: np.random.Generator | None,
-    exclude: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pick k negatives for every row of an n x m query-candidate similarity matrix.
 
     Returns (neg, filtered, dup): neg[i] holds query i's k candidate indices,
     filtered[i, j] marks candidates dropped as probable false negatives
     (hard mode only), and dup[i] counts the cyclic repeats query i needed.
-    Candidates marked in ``exclude`` are ineligible without counting as
-    filtered. Hard and easy picks equal the per-row rule of
-    sample_hard_negatives on sims and -sims, ties included. Random mode
-    draws one ``rng.permutation`` per row in row order, so the generator is
-    consumed exactly as a per-query loop would consume it; the other modes
-    never touch ``rng``.
+    Hard and easy picks equal the per-row rule of sample_hard_negatives on
+    sims and -sims, ties included. Random mode draws one ``rng.permutation``
+    per row in row order, so the generator is consumed exactly as a
+    per-query loop would consume it; the other modes never touch ``rng``.
     """
     if mode not in NEGATIVE_MODES:
         raise ModeUnknownError(f"negative_mode must be one of {NEGATIVE_MODES}, got {mode!r}")
@@ -172,11 +168,6 @@ def select_negatives(
         filtered = np.zeros((n, m), dtype=bool)
     ineligible = filtered.copy()
     ineligible[rows, pos] = True
-    if exclude is not None:
-        exclude = np.asarray(exclude, dtype=bool)
-        if exclude.shape != (n, m):
-            raise ValueError(f"exclude mask shape {exclude.shape} != similarity shape {(n, m)}")
-        ineligible |= exclude
     eligible = m - np.count_nonzero(ineligible, axis=1)
     if not eligible.all():
         query = int(np.flatnonzero(eligible == 0)[0])
@@ -220,14 +211,10 @@ def mine_batch(
     """Filter and sample for every query against a shared candidate pool."""
     if queries.dim != candidates.dim:
         raise ValueError(f"query dim {queries.dim} != candidate dim {candidates.dim}")
-    n, m = len(queries), len(candidates)
+    m = len(candidates)
     positives = [int(p) for p in positives]
-    exclude = None
-    if config.exclude_other_positives:
-        exclude = np.zeros((n, m), dtype=bool)
-        exclude[:, positives] = True
     sims = queries.values @ candidates.values.T
-    neg, filtered, dup = select_negatives(sims, positives, config.k, "hard", config.beta, None, exclude)
+    neg, filtered, dup = select_negatives(sims, positives, config.k, "hard", config.beta, None)
     false_neg_pct, duplication_rate = selection_rates(filtered, dup)
     stats = MinerStats(
         false_neg_pct=false_neg_pct,

@@ -9,6 +9,9 @@ import numpy as np
 
 from .autodiff import Parameter
 
+# Adam's moment decay rates and denominator floor.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class OptimizerSettings:
@@ -42,31 +45,27 @@ class Sgd:
 class Adam:
     """Adam with bias correction; state is keyed by parameter name."""
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t = 0
 
     def step(self, params: Sequence[Parameter]) -> None:
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
         for p in params:
             if not (p.trainable and p.grad is not None):
                 continue
             g = p.grad
             m = self._m.setdefault(p.name, np.zeros_like(g))
             v = self._v.setdefault(p.name, np.zeros_like(g))
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1**self._t)
-            v_hat = v / (1.0 - b2**self._t)
-            p.tensor.values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            m_hat = m / (1.0 - _BETA1**self._t)
+            v_hat = v / (1.0 - _BETA2**self._t)
+            p.tensor.values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 def make_optimizer(settings: OptimizerSettings):

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .encoder import EmbeddingBatch, Encoder, fuse_multimodal, embed_items
+from .encoder import EmbeddingBatch, Encoder, embed_items
 
 
 class EmptyCandidatesError(ValueError):
@@ -113,16 +113,14 @@ def evaluate_task(task: RetrievalTask, ks: Sequence[int] = (1, 5)) -> RetrievalR
     return RetrievalReport(ranked=ranked, precision_at=precision, recall_at=recall)
 
 
-def task_from_corpus(encoder: Encoder, corpus: Corpus, fuser=fuse_multimodal) -> RetrievalTask:
+def task_from_corpus(encoder: Encoder, corpus: Corpus) -> RetrievalTask:
     """Encode a corpus for evaluation: one labeled positive per query."""
-    queries = embed_items(encoder, [pair.query for pair in corpus.pairs], fuser)
-    candidates = embed_items(encoder, corpus.items, fuser)
+    queries = embed_items(encoder, [pair.query for pair in corpus.pairs])
+    candidates = embed_items(encoder, corpus.items)
     relevance = {pair.query.id: {pair.positive_id} for pair in corpus.pairs}
     return RetrievalTask(queries=queries, candidates=candidates, relevance=relevance)
 
 
-def evaluate_checkpoint(
-    encoder: Encoder, corpus: Corpus, ks: Sequence[int] = (1, 5), fuser=fuse_multimodal
-) -> RetrievalReport:
+def evaluate_checkpoint(encoder: Encoder, corpus: Corpus, ks: Sequence[int] = (1, 5)) -> RetrievalReport:
     """Rank every corpus query against all items with the given encoder."""
-    return evaluate_task(task_from_corpus(encoder, corpus, fuser), ks)
+    return evaluate_task(task_from_corpus(encoder, corpus), ks)

@@ -8,10 +8,11 @@ import struct
 import numpy as np
 import pytest
 
+from nanoembed import infonce as nce
 from nanoembed import negatives as ng
 from nanoembed.cli import ConfigError, load_config, main
 from nanoembed.encoder import Encoder, load_checkpoint
-from nanoembed.metrics import read_trace
+from nanoembed.metrics import StepMetrics, read_trace
 
 
 def base_config(**overrides):
@@ -47,6 +48,19 @@ def make_stage1_checkpoint(tmp_path):
     return config, out / "checkpoint.bin"
 
 
+def count_cached_steps(monkeypatch):
+    """Record every gradient-cached step stage2_train takes."""
+    calls = []
+    cached_step = nce.cached_step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cached_step(*args, **kwargs)
+
+    monkeypatch.setattr(nce, "cached_step", counting)
+    return calls
+
+
 class TestConfigLoading:
     def test_minimal_config_gets_desk_defaults(self, tmp_path):
         path = tmp_path / "minimal.json"
@@ -61,7 +75,7 @@ class TestConfigLoading:
         assert cfg.miner.beta == pytest.approx(0.1)
         assert cfg.miner.k == 8
         assert cfg.miner.tau == pytest.approx(0.05)
-        assert not cfg.gradcache_enabled
+        assert cfg.gradcache_sub_batch is None
         assert cfg.seed == 0
 
     def test_encoder_input_dim_follows_corpus_spec(self, tmp_path):
@@ -122,6 +136,41 @@ class TestConfigLoading:
         config = write_config(tmp_path, distill={"batch_size": 8, "kl_numerator": "pairwise"})
         assert run("stage1", "--config", config, "--out", tmp_path / "out") == 2
         assert "kl_numerator" in capsys.readouterr().err
+
+    def test_removed_exclude_other_positives_is_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, miner={"beta": 0.1, "k": 4, "exclude_other_positives": True})
+        assert run("stage2", "--config", config, "--out", tmp_path / "out") == 2
+        assert "exclude_other_positives" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, overrides, field",
+        [
+            ("stage2", {"gradcache": {"enabled": "false"}}, "enabled"),
+            ("stage1", {"seed": True}, "seed"),
+            ("stage1", {"optimizer": {"steps": True}}, "steps"),
+            ("stage2", {"gradcache": {"enabled": True, "sub_batch": True}}, "sub_batch"),
+            ("stage2", {"miner": {"k": True}}, "k"),
+            ("stage1", {"encoder": {"hidden_dim": True, "embed_dim": 8}}, "hidden_dim"),
+            ("stage1", {"encoder": {"hidden_dim": 16, "embed_dim": True}}, "embed_dim"),
+            ("stage1", {"encoder": {"hidden_dim": 16, "embed_dim": 8, "depth": True}}, "depth"),
+            ("stage1", {"distill": {"batch_size": 2.5}}, "batch_size"),
+            ("stage2", {"miner": {"k": 2.0}}, "k"),
+            ("stage1", {"encoder": {"hidden_dim": 16.0, "embed_dim": 8}}, "hidden_dim"),
+            ("ablate", {"sweep": {"k": [2, 2.5]}}, "k"),
+        ],
+        ids=[
+            "enabled_string", "seed_bool", "steps_bool", "sub_batch_bool", "k_bool", "hidden_dim_bool",
+            "embed_dim_bool", "depth_bool", "batch_size_fraction", "k_float", "hidden_dim_float",
+            "sweep_k_fraction",
+        ],
+    )
+    def test_badly_typed_value_is_usage_error(self, tmp_path, capsys, command, overrides, field):
+        config = write_config(tmp_path, **overrides)
+        assert run(command, "--config", config, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_steps_rejected(self, tmp_path):
         path = write_config(tmp_path, optimizer={"steps": -1})
@@ -262,6 +311,24 @@ class TestStage2:
         assert (a / "trace.jsonl").read_bytes() == (b / "trace.jsonl").read_bytes()
         assert (a / "checkpoint.bin").read_bytes() == (b / "checkpoint.bin").read_bytes()
 
+    def test_interrupted_write_keeps_previous_artifacts(self, tmp_path, monkeypatch):
+        config, checkpoint = make_stage1_checkpoint(tmp_path)
+        out = tmp_path / "out"
+        assert run("stage2", "--config", config, "--checkpoint", checkpoint, "--out", out) == 0
+        before = {f: (out / f).read_bytes() for f in ("trace.jsonl", "checkpoint.bin")}
+
+        def failing_to_json(self):
+            if self.step == 5:
+                raise RuntimeError("disk gone")
+            return json.dumps({"step": self.step})
+
+        monkeypatch.setattr(StepMetrics, "to_json", failing_to_json)
+        longer = write_config(tmp_path, name="longer.json", optimizer={"steps": 20})
+        with pytest.raises(RuntimeError, match="disk gone"):
+            run("stage2", "--config", longer, "--checkpoint", checkpoint, "--out", out)
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint.bin", "run_info.json", "trace.jsonl"]
+        assert {f: (out / f).read_bytes() for f in before} == before
+
     def test_unknown_mode_is_usage_error(self, tmp_path):
         config = write_config(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
@@ -381,6 +448,16 @@ class TestAblate:
             assert run("ablate", "--config", sweep, "--checkpoint", checkpoint, "--out", out) == 0
         assert (a / "ablation.csv").read_bytes() == (b / "ablation.csv").read_bytes()
 
+    def test_gradcache_runs_the_cached_step(self, tmp_path, monkeypatch):
+        config, checkpoint = make_stage1_checkpoint(tmp_path)
+        sweep = write_config(
+            tmp_path, name="sweep.json", optimizer={"steps": 3}, sweep={"beta": [0.1, 0.3]},
+            gradcache={"enabled": True, "sub_batch": 5},
+        )
+        calls = count_cached_steps(monkeypatch)
+        assert run("ablate", "--config", sweep, "--checkpoint", checkpoint, "--out", tmp_path / "out") == 0
+        assert len(calls) == 2 * 3
+
     def test_missing_sweep_section_is_usage_error(self, tmp_path, capsys):
         config, checkpoint = make_stage1_checkpoint(tmp_path)
         assert run("ablate", "--config", config, "--checkpoint", checkpoint,
@@ -412,6 +489,24 @@ class TestTracegrad:
             (out / f"trace_{mode}.jsonl").read_bytes() for mode in ("easy", "random", "hard")
         }
         assert len(contents) == 3
+
+    def test_gradcache_runs_the_cached_step_and_matches_naive(self, tmp_path, monkeypatch):
+        config, checkpoint = make_stage1_checkpoint(tmp_path)
+        cached = write_config(tmp_path, name="cached.json", gradcache={"enabled": True, "sub_batch": 5})
+        assert run("tracegrad", "--config", config, "--checkpoint", checkpoint, "--out", tmp_path / "off") == 0
+        calls = count_cached_steps(monkeypatch)
+        assert run("tracegrad", "--config", cached, "--checkpoint", checkpoint, "--out", tmp_path / "on") == 0
+        assert len(calls) == 3 * 12
+        for mode in ng.NEGATIVE_MODES:
+            off = read_trace(tmp_path / "off" / f"trace_{mode}.jsonl")
+            on = read_trace(tmp_path / "on" / f"trace_{mode}.jsonl")
+            assert len(on) == len(off) == 12
+            for a, b in zip(off, on):
+                np.testing.assert_allclose(
+                    [b.loss, b.grad_norm, b.false_neg_pct, b.duplication_rate],
+                    [a.loss, a.grad_norm, a.false_neg_pct, a.duplication_rate],
+                    rtol=0.0, atol=1e-7,
+                )
 
 
 class TestRunInfo:

@@ -216,22 +216,6 @@ class TestMineBatch:
         assert all(a >= b for a, b in zip(rates, rates[1:]))
         assert rates[0] > rates[-1]
 
-    def test_exclude_other_positives_flag(self):
-        # two queries share near-identical directions; query 0's best candidate
-        # is query 1's positive
-        values = np.array([[1.0, 0.0], [0.99, np.sqrt(1 - 0.99**2)]])
-        queries = enc.EmbeddingBatch(["q0", "q1"], ad.constant(values / np.linalg.norm(values, axis=1, keepdims=True)))
-        cand = np.array([[0.9, np.sqrt(1 - 0.81)], [1.0, 0.0], [0.0, 1.0]])
-        candidates = enc.EmbeddingBatch(["c0", "c1", "c2"], ad.constant(cand / np.linalg.norm(cand, axis=1, keepdims=True)))
-        positives = [0, 1]
-        default = neg.MinerConfig(beta=2.0, k=1)
-        mined, _ = neg.mine_batch(queries, candidates, positives, default)
-        assert mined.negatives[0] == [1]  # the other query's positive, most similar
-        strict = neg.MinerConfig(beta=2.0, k=1, exclude_other_positives=True)
-        mined, _ = neg.mine_batch(queries, candidates, positives, strict)
-        assert mined.negatives[0] == [2]
-        assert mined.filtered[0] == set()  # exclusion is not filtering
-
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError):
@@ -278,33 +262,6 @@ class TestSelectNegatives:
         assert [set(np.flatnonzero(row).tolist()) for row in filtered] == [e[1] for e in expected]
         assert dup.tolist() == [e[2] for e in expected]
         assert batch_rng.integers(2**62) == row_rng.integers(2**62)  # same stream consumed
-
-    @settings(max_examples=200, deadline=None)
-    @given(similarity_cases(), st.data())
-    def test_exclude_mask_makes_candidates_ineligible(self, case, data):
-        sims, positives, k, beta, seed = case
-        n, m = sims.shape
-        exclude = data.draw(hnp.arrays(np.bool_, (n, m)))
-        rows = []
-        for i, pos in enumerate(positives):
-            alpha = neg.false_negative_threshold(sims[i, pos], beta)
-            filtered = neg.filter_false_negatives(sims[i], pos, alpha)
-            excluded = {int(j) for j in np.flatnonzero(exclude[i]) if j != pos}
-            rows.append((filtered, excluded))
-        if any(len(f | x) == m - 1 for f, x in rows):
-            with pytest.raises(neg.NoEligibleNegativesError):
-                neg.select_negatives(sims, positives, k, "hard", beta, None, exclude)
-            return
-        picks, filtered, dup = neg.select_negatives(sims, positives, k, "hard", beta, None, exclude)
-        easy, _, _ = neg.select_negatives(sims, positives, k, "easy", beta, None, exclude)
-        rng = np.random.default_rng(seed)
-        drawn, _, _ = neg.select_negatives(sims, positives, k, "random", beta, rng, exclude)
-        for i, (pos, (row_filtered, excluded)) in enumerate(zip(positives, rows)):
-            assert set(np.flatnonzero(filtered[i]).tolist()) == row_filtered
-            assert picks[i].tolist() == neg.sample_hard_negatives(sims[i], pos, row_filtered | excluded, k)
-            assert easy[i].tolist() == neg.sample_hard_negatives(-sims[i], pos, excluded, k)
-            assert dup[i] == max(0, k - (m - 1 - len(row_filtered | excluded)))
-            assert not set(drawn[i].tolist()) & (excluded | {pos})
 
     @settings(max_examples=50, deadline=None)
     @given(similarity_cases(), st.sampled_from(neg.NEGATIVE_MODES), st.data())
