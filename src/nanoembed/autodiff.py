@@ -127,14 +127,13 @@ def constant(values) -> Tensor:
 
 
 class Parameter:
-    """A named trainable tensor. Frozen parameters never receive gradients."""
+    """A named tensor that records gradients."""
 
-    __slots__ = ("name", "tensor", "trainable")
+    __slots__ = ("name", "tensor")
 
-    def __init__(self, name: str, values, trainable: bool = True):
+    def __init__(self, name: str, values):
         self.name = name
-        self.trainable = trainable
-        self.tensor = Tensor(np.array(values, dtype=np.float64), requires_grad=trainable)
+        self.tensor = Tensor(np.array(values, dtype=np.float64), requires_grad=True)
 
     @property
     def values(self) -> np.ndarray:
@@ -482,14 +481,13 @@ def finite_difference_check(
     if not np.array_equal(first.values, second.values):
         raise NonDeterministicLossError("loss_fn returned different values on identical parameters")
 
-    trainable = [p for p in params if p.trainable]
-    for p in trainable:
+    for p in params:
         p.zero_grad()
     backward(loss_fn())
-    analytic = {p.name: (np.zeros_like(p.values) if p.grad is None else p.grad.copy()) for p in trainable}
+    analytic = {p.name: (np.zeros_like(p.values) if p.grad is None else p.grad.copy()) for p in params}
 
     per_param: dict[str, float] = {}
-    for p in trainable:
+    for p in params:
         values = p.tensor.values
         fd = np.zeros_like(values)
         flat = values.reshape(-1)

@@ -105,17 +105,42 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: true and "3" are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# What a config field must hold in JSON, by its dataclass annotation.
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "tuple[int, int]": (
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+        "a list of two integers",
+    ),
+    "dict[str, float]": (
+        lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+        "an object of numbers",
+    ),
+}
+
+
 def _build(section: str, factory, kwargs: dict):
+    """factory(**kwargs) once every annotated field holds its JSON type;
+    JSON lists become tuples."""
     for f in fields(factory):
-        if f.type in (int, "int") and f.name in kwargs and not _is_int(kwargs[f.name]):
-            raise ConfigError(f"bad {section!r} config: {f.name} must be an integer, got {kwargs[f.name]!r}")
+        if f.name in kwargs and f.type in _FIELD_TYPES:
+            check, what = _FIELD_TYPES[f.type]
+            if not check(kwargs[f.name]):
+                raise ConfigError(f"bad {section!r} config: {f.name} must be {what}, got {kwargs[f.name]!r}")
+    kwargs = {name: tuple(v) if isinstance(v, list) else v for name, v in kwargs.items()}
     try:
         return factory(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {section!r} config: {exc}") from None
 
 
-def _load_sweep(raw: dict) -> dict[str, list[float]] | None:
+def _load_sweep(raw: dict, miner_raw: dict) -> dict[str, list[float]] | None:
     if "sweep" not in raw or raw["sweep"] is None:
         return None
     sweep = raw["sweep"]
@@ -126,9 +151,10 @@ def _load_sweep(raw: dict) -> dict[str, list[float]] | None:
         raise ConfigError(f"sweep parameter must be 'beta' or 'k', got {name!r}")
     if not isinstance(values, list) or not values:
         raise ConfigError(f"sweep over {name!r} needs a nonempty list of values")
+    # Every swept miner must be valid before ablate trains the first one.
+    for value in values:
+        _build("sweep", ng.MinerConfig, {**miner_raw, name: value})
     if name == "k":
-        if not all(_is_int(v) for v in values):
-            raise ConfigError(f"sweep over 'k' needs integer values, got {values!r}")
         return {name: values}
     return {name: [float(v) for v in values]}
 
@@ -164,6 +190,8 @@ def load_config(
         raise ConfigError(f"seed must be an integer, got {seed!r}")
 
     output_dir = raw.get("output_dir", "runs")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
     output_dir = os.environ.get(ENV_OUTPUT_DIR, output_dir)
     if out_override is not None:
         output_dir = out_override
@@ -175,12 +203,12 @@ def load_config(
         extras = sorted(set(corpus_raw) - {"path"})
         if extras:
             raise ConfigError(f"corpus path cannot be combined with spec fields: {', '.join(extras)}")
+        if not isinstance(corpus_raw["path"], str):
+            raise ConfigError(f"corpus path must be a string, got {corpus_raw['path']!r}")
         corpus_path = Path(corpus_raw["path"])
         if not corpus_path.exists():
             raise ConfigError(f"corpus path not found: {corpus_path}")
     else:
-        if "seq_len_range" in corpus_raw:
-            corpus_raw["seq_len_range"] = tuple(corpus_raw["seq_len_range"])
         corpus_spec = _build("corpus", CorpusSpec, corpus_raw)
 
     encoder_raw = {**_ENCODER_DEFAULTS, **_section(raw, "encoder")}
@@ -196,7 +224,10 @@ def load_config(
         )
 
     teacher_raw = _section(raw, "teacher")
-    offset_scale = float(teacher_raw.pop("offset_scale", 3.0))
+    offset_scale = teacher_raw.pop("offset_scale", 3.0)
+    if not _is_number(offset_scale):
+        raise ConfigError(f"teacher offset_scale must be a number, got {offset_scale!r}")
+    offset_scale = float(offset_scale)
     if offset_scale < 0.0:
         raise ConfigError(f"teacher offset_scale must be >= 0, got {offset_scale}")
     # The teacher shares the student's architecture unless told otherwise,
@@ -211,7 +242,8 @@ def load_config(
     teacher = _build("teacher", EncoderConfig, {**teacher_defaults, **teacher_raw})
 
     distill = _build("distill", DistillConfig, {"batch_size": 64, **_section(raw, "distill")})
-    miner = _build("miner", ng.MinerConfig, _section(raw, "miner"))
+    miner_raw = _section(raw, "miner")
+    miner = _build("miner", ng.MinerConfig, miner_raw)
 
     optimizer_raw = {**_OPTIMIZER_DEFAULTS, **_section(raw, "optimizer")}
     steps = optimizer_raw.pop("steps", _DEFAULT_STEPS)
@@ -240,7 +272,7 @@ def load_config(
         optimizer=optimizer,
         steps=steps,
         gradcache_sub_batch=sub_batch if enabled else None,
-        sweep=_load_sweep(raw),
+        sweep=_load_sweep(raw, miner_raw),
         seed=seed,
         output_dir=Path(output_dir),
     )

@@ -1,4 +1,4 @@
-"""Synthetic grouped corpora and the line-delimited interchange formats.
+"""Synthetic grouped corpora and the line-delimited corpus format.
 
 Items are short feature sequences drawn around a two-level latent
 hierarchy: a group centroid plus a per-pair offset, with fresh noise at
@@ -28,8 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import DimMismatchError, EmbeddingBatch, ItemRecord
-from . import autodiff as ad
+from .encoder import ItemRecord
 
 PLANTED_SUFFIX = "#dup"
 _PLANTED_BLEND = 0.5
@@ -308,42 +307,3 @@ def read_corpus(path) -> Corpus:
             else:
                 raise MalformedRecordError(line_number, f"unknown kind {obj['kind']!r}")
     return Corpus(items, pairs)
-
-
-def write_embeddings(path, batch: EmbeddingBatch) -> None:
-    """Header {"n": .., "d": ..}, then one space-separated row per line.
-
-    Values carry 17 significant digits, enough to round-trip float64
-    bit-exactly. Row order follows the batch; ids are not stored.
-    """
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"n": len(batch), "d": batch.dim}, sort_keys=True))
-        fh.write("\n")
-        for row in batch.values:
-            fh.write(" ".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
-
-
-def read_embeddings(path, ids: Sequence[str] | None = None) -> EmbeddingBatch:
-    """Read an embedding file; pass ids to label rows (defaults to row<i>)."""
-    with open(path) as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-            n, d = int(header["n"]), int(header["d"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-            raise MalformedRecordError(1, f"bad embedding header: {err}") from err
-        rows = np.zeros((n, d))
-        for i in range(n):
-            line = fh.readline()
-            if not line:
-                raise MalformedRecordError(i + 2, f"expected {n} rows, file ended at {i}")
-            parts = line.split()
-            if len(parts) != d:
-                raise DimMismatchError(f"line {i + 2}: expected {d} values, got {len(parts)}")
-            rows[i] = [float(p) for p in parts]
-    if ids is None:
-        ids = [f"row{i}" for i in range(n)]
-    elif len(ids) != n:
-        raise ValueError(f"{len(ids)} ids for {n} rows")
-    return EmbeddingBatch(ids, ad.constant(rows))

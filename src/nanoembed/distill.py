@@ -10,7 +10,6 @@ reach student parameters only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from . import autodiff as ad
 from . import optim
 from .autodiff import Tensor
 from .corpus import Corpus
-from .encoder import EmbeddingBatch, Encoder, ItemRecord
+from .encoder import EmbeddingBatch, Encoder, TeacherEncoder
 from .metrics import StepMetrics
 
 
@@ -28,10 +27,6 @@ class BatchSizeMismatchError(ValueError):
 
 class EmptyCorpusError(ValueError):
     """The corpus has too few usable items to form a batch."""
-
-
-class TeacherSource(Protocol):
-    def encode(self, items: Sequence[ItemRecord]) -> EmbeddingBatch: ...
 
 
 @dataclass(frozen=True)
@@ -76,7 +71,7 @@ def kl_distillation_loss(e_s: EmbeddingBatch, e_t: EmbeddingBatch, tau: float) -
 def stage1_train(
     encoder: Encoder,
     corpus: Corpus,
-    teacher: TeacherSource,
+    teacher: TeacherEncoder,
     config: DistillConfig,
     settings: optim.OptimizerSettings,
     steps: int,

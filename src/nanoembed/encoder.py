@@ -117,9 +117,6 @@ class EmbeddingBatch:
     def row(self, i: int) -> np.ndarray:
         return self.matrix.values[i]
 
-    def row_by_id(self, item_id: str) -> np.ndarray:
-        return self.matrix.values[self.ids.index(item_id)]
-
 
 def _init_weight_arrays(config: EncoderConfig) -> list[tuple[str, np.ndarray]]:
     """Fan-in scaled uniform weights, zero biases, in a fixed seeded order."""
@@ -215,9 +212,6 @@ class TeacherEncoder:
         self.offset_scale = float(offset_scale)
         self._weights = _init_weight_arrays(config)
 
-    def weight_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, values.copy()) for name, values in self._weights]
-
     def group_direction(self, group: str) -> np.ndarray:
         return _group_direction(self.config.seed, group, self.config.embed_dim)
 
@@ -234,22 +228,6 @@ class TeacherEncoder:
                 shifted = base[i] + self.offset_scale * self.group_direction(it.group)
                 out[i] = shifted / np.linalg.norm(shifted)
         return EmbeddingBatch([it.id for it in items], ad.constant(out))
-
-
-class PrecomputedTeacher:
-    """Teacher embeddings served from a precomputed id -> row table."""
-
-    def __init__(self, batch: EmbeddingBatch):
-        self._rows = {item_id: batch.values[i] for i, item_id in enumerate(batch.ids)}
-        self.dim = batch.dim
-
-    def encode(self, items: Sequence[ItemRecord]) -> EmbeddingBatch:
-        rows = []
-        for it in items:
-            if it.id not in self._rows:
-                raise KeyError(f"no teacher embedding for item {it.id!r}")
-            rows.append(self._rows[it.id])
-        return EmbeddingBatch([it.id for it in items], ad.constant(np.stack(rows)))
 
 
 def fuse_multimodal(e_a: np.ndarray, e_b: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ class StepMetrics:
         for name in ("loss", "grad_norm", "false_neg_pct", "duplication_rate"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ValueError(f"step {self.step}: {name} must be finite, got {value}")
 
     def to_json(self) -> str:
         record = asdict(self)

@@ -38,7 +38,7 @@ class Sgd:
 
     def step(self, params: Sequence[Parameter]) -> None:
         for p in params:
-            if p.trainable and p.grad is not None:
+            if p.grad is not None:
                 p.tensor.values -= self.learning_rate * p.grad
 
 
@@ -54,7 +54,7 @@ class Adam:
     def step(self, params: Sequence[Parameter]) -> None:
         self._t += 1
         for p in params:
-            if not (p.trainable and p.grad is not None):
+            if p.grad is None:
                 continue
             g = p.grad
             m = self._m.setdefault(p.name, np.zeros_like(g))
@@ -80,10 +80,10 @@ def zero_grads(params: Sequence[Parameter]) -> None:
 
 
 def global_grad_norm(params: Sequence[Parameter]) -> float:
-    """L2 norm over all trainable gradients; absent gradients count as zero."""
+    """L2 norm over all parameter gradients; absent gradients count as zero."""
     total = 0.0
     for p in params:
-        if p.trainable and p.grad is not None:
+        if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     return float(np.sqrt(total))
 
@@ -97,6 +97,6 @@ def clip_global_norm(params: Sequence[Parameter], max_norm: float) -> float:
     if norm > max_norm:
         factor = max_norm / norm
         for p in params:
-            if p.trainable and p.grad is not None:
+            if p.grad is not None:
                 p.tensor.grad = p.grad * factor
     return norm

@@ -214,14 +214,6 @@ class TestBackward:
         ad.backward(loss)
         np.testing.assert_allclose(t.grad, [[4.0, 8.0]], rtol=0, atol=1e-15)
 
-    def test_frozen_parameter_receives_no_gradient(self):
-        p = ad.Parameter("w", [[1.0, 2.0]], trainable=False)
-        q = ad.Parameter("v", [[3.0, 4.0]])
-        loss = ad.total_sum(ad.mul(ad.add(p.tensor, q.tensor), q.tensor))
-        ad.backward(loss)
-        assert p.grad is None
-        assert q.grad is not None
-
 
 class TestPrimitiveGradients:
     """Every primitive against central finite differences, with a random
@@ -354,17 +346,6 @@ class TestFiniteDifferenceCheck:
 
         with pytest.raises(ad.NonDeterministicLossError):
             ad.finite_difference_check(loss_fn, [p])
-
-    def test_untrainable_params_are_skipped(self):
-        p = ad.Parameter("w", [[1.0, 2.0]])
-        frozen = ad.Parameter("f", [[5.0]], trainable=False)
-
-        def loss_fn():
-            return ad.total_sum(ad.mul(p.tensor, p.tensor))
-
-        report = ad.finite_difference_check(loss_fn, [p, frozen])
-        assert report.passed
-        assert "f" not in report.per_param
 
 
 class TestAllocationCounter:

@@ -15,9 +15,12 @@ from nanoembed.encoder import Encoder, load_checkpoint
 from nanoembed.metrics import StepMetrics, read_trace
 
 
+CORPUS = {"seed": 3, "n_groups": 4, "items_per_group": 4, "input_dim": 8}
+
+
 def base_config(**overrides):
     cfg = {
-        "corpus": {"seed": 3, "n_groups": 4, "items_per_group": 4, "input_dim": 8},
+        "corpus": dict(CORPUS),
         "encoder": {"hidden_dim": 16, "embed_dim": 8},
         "teacher": {"offset_scale": 2.0},
         "distill": {"batch_size": 8, "tau": 0.1},
@@ -157,11 +160,23 @@ class TestConfigLoading:
             ("stage2", {"miner": {"k": 2.0}}, "k"),
             ("stage1", {"encoder": {"hidden_dim": 16.0, "embed_dim": 8}}, "hidden_dim"),
             ("ablate", {"sweep": {"k": [2, 2.5]}}, "k"),
+            ("stage2", {"miner": {"beta": 0.1, "k": 4, "tau": True}}, "tau"),
+            ("stage1", {"optimizer": {"learning_rate": True, "steps": 12}}, "learning_rate"),
+            ("stage1", {"teacher": {"offset_scale": True}}, "offset_scale"),
+            ("stage1", {"teacher": {"offset_scale": "3"}}, "offset_scale"),
+            ("ablate", {"sweep": {"beta": [True]}}, "beta"),
+            ("stage1", {"corpus": {**CORPUS, "modality_mix": {"text": True}}}, "modality_mix"),
+            ("stage1", {"corpus": {**CORPUS, "seq_len_range": [2.5, 4]}}, "seq_len_range"),
+            ("stage1", {"corpus": {**CORPUS, "seq_len_range": 5}}, "seq_len_range"),
+            ("stage1", {"corpus": {"path": 5}}, "path"),
+            ("stage1", {"output_dir": 5}, "output_dir"),
         ],
         ids=[
             "enabled_string", "seed_bool", "steps_bool", "sub_batch_bool", "k_bool", "hidden_dim_bool",
             "embed_dim_bool", "depth_bool", "batch_size_fraction", "k_float", "hidden_dim_float",
-            "sweep_k_fraction",
+            "sweep_k_fraction", "tau_bool", "learning_rate_bool", "offset_scale_bool",
+            "offset_scale_string", "sweep_beta_bool", "modality_mix_bool", "seq_len_range_fraction",
+            "seq_len_range_scalar", "corpus_path_int", "output_dir_int",
         ],
     )
     def test_badly_typed_value_is_usage_error(self, tmp_path, capsys, command, overrides, field):
@@ -329,6 +344,14 @@ class TestStage2:
         assert sorted(p.name for p in out.iterdir()) == ["checkpoint.bin", "run_info.json", "trace.jsonl"]
         assert {f: (out / f).read_bytes() for f in before} == before
 
+    def test_divergent_run_names_its_step(self, tmp_path, capsys):
+        _, checkpoint = make_stage1_checkpoint(tmp_path)
+        config = write_config(tmp_path, miner={"beta": 0.1, "k": 4, "tau": 1e-300})
+        with np.errstate(over="ignore"):
+            code = run("stage2", "--config", config, "--checkpoint", checkpoint, "--out", tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == "error: step 0: grad_norm must be finite, got inf\n"
+
     def test_unknown_mode_is_usage_error(self, tmp_path):
         config = write_config(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
@@ -463,6 +486,14 @@ class TestAblate:
         assert run("ablate", "--config", config, "--checkpoint", checkpoint,
                    "--out", tmp_path / "out") == 2
         assert "sweep" in capsys.readouterr().err
+
+    def test_invalid_sweep_value_fails_before_any_training(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nce, "stage2_train", lambda *args, **kwargs: calls.append(1))
+        sweep = write_config(tmp_path, sweep={"k": [2, 3, 0]})
+        assert run("ablate", "--config", sweep, "--out", tmp_path / "out") == 2
+        assert "k must be >= 1" in capsys.readouterr().err
+        assert calls == []
 
     def test_empty_sweep_list_is_usage_error(self, tmp_path, capsys):
         sweep = write_config(tmp_path, sweep={"beta": []})

@@ -1,11 +1,10 @@
-"""Tests for the synthetic corpus generator and file formats."""
+"""Tests for the synthetic corpus generator and the JSONL corpus format."""
 
 import json
 
 import numpy as np
 import pytest
 
-from nanoembed import autodiff as ad
 from nanoembed import corpus as cp
 from nanoembed import encoder as enc
 
@@ -227,54 +226,3 @@ class TestCorpusRoundTrip:
         cp.write_corpus(path, corpus)
         path.write_text(path.read_text().replace("\n", "\n\n", 1))
         self.assert_corpora_equal(corpus, cp.read_corpus(path))
-
-
-class TestEmbeddingFile:
-    def batch(self, n=5, d=4, seed=0):
-        rng = np.random.default_rng(seed)
-        rows = rng.normal(size=(n, d))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        return enc.EmbeddingBatch([f"e{i}" for i in range(n)], ad.constant(rows))
-
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        batch = self.batch()
-        path = tmp_path / "emb.txt"
-        cp.write_embeddings(path, batch)
-        loaded = cp.read_embeddings(path, ids=batch.ids)
-        assert np.array_equal(loaded.values, batch.values)
-        assert loaded.ids == batch.ids
-
-    def test_header_reports_shape(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        cp.write_embeddings(path, self.batch(n=3, d=7, seed=1))
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header == {"n": 3, "d": 7}
-
-    def test_default_ids_are_positional(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        cp.write_embeddings(path, self.batch(n=2))
-        assert cp.read_embeddings(path).ids == ["row0", "row1"]
-
-    def test_wrong_width_rejected(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text('{"d": 3, "n": 1}\n1.0 0.0\n')
-        with pytest.raises(enc.DimMismatchError):
-            cp.read_embeddings(path)
-
-    def test_non_unit_row_rejected(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text('{"d": 2, "n": 1}\n0.5 0.5\n')
-        with pytest.raises(enc.NonUnitRowError):
-            cp.read_embeddings(path)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text('{"d": 2, "n": 2}\n1.0 0.0\n')
-        with pytest.raises(cp.MalformedRecordError):
-            cp.read_embeddings(path)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("nope\n")
-        with pytest.raises(cp.MalformedRecordError):
-            cp.read_embeddings(path)

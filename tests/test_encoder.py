@@ -50,10 +50,6 @@ class TestEmbeddingBatch:
         with pytest.raises(enc.NonUnitRowError):
             enc.EmbeddingBatch(["a"], ad.constant([[0.5, 0.5]]))
 
-    def test_row_lookup_by_id(self):
-        batch = enc.EmbeddingBatch(["a", "b"], ad.constant(np.eye(2)))
-        np.testing.assert_array_equal(batch.row_by_id("b"), [0.0, 1.0])
-
 
 class TestEncoderForward:
     def test_identity_initialized_single_layer_is_projection(self):
@@ -206,21 +202,6 @@ class TestTeacher:
         assert np.array_equal(d1, d2)
         assert np.linalg.norm(d1) == pytest.approx(1.0, abs=1e-12)
         assert not np.array_equal(d1, teacher.group_direction("beta"))
-
-
-class TestPrecomputedTeacher:
-    def test_serves_rows_by_id(self):
-        base = enc.EmbeddingBatch(["a", "b"], ad.constant(np.eye(2)))
-        teacher = enc.PrecomputedTeacher(base)
-        item = enc.ItemRecord("b", "text", np.zeros((1, 3)))
-        out = teacher.encode([item])
-        np.testing.assert_array_equal(out.values, [[0.0, 1.0]])
-
-    def test_missing_id_raises(self):
-        base = enc.EmbeddingBatch(["a"], ad.constant([[1.0, 0.0]]))
-        teacher = enc.PrecomputedTeacher(base)
-        with pytest.raises(KeyError):
-            teacher.encode([enc.ItemRecord("zz", "text", np.zeros((1, 3)))])
 
 
 class TestFusion:

@@ -33,3 +33,11 @@ def test_cli_quickstart_trains_to_perfect_precision(tmp_path, monkeypatch):
         assert main(argv[1:]) == 0
     report = json.loads((tmp_path / "out" / "eval" / "report.json").read_text())
     assert report["precision_at"]["1"] == 1.0
+
+
+def test_modules_table_names_every_module():
+    table = README.split("\n## Modules\n", 1)[1].split("\n## ", 1)[0]
+    listed = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+    package = Path(__file__).resolve().parents[1] / "src" / "nanoembed"
+    modules = [p.stem for p in package.glob("*.py") if p.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)
