@@ -2,17 +2,15 @@
 
 Each command is a pure function of (config, seed): rerunning with the same
 inputs rewrites byte-identical traces, reports, tables, and checkpoints.
-Wall-clock timestamps live only in the run_info.json sidecar.  Exactly two
-environment variables are honored, NANOEMBED_SEED and NANOEMBED_OUTPUT_DIR,
-and they override only the config's seed and output directory; explicit
-command-line flags take precedence over both.
+Wall-clock timestamps live only in the run_info.json sidecar.  No
+environment variable is read; the --seed and --out flags override the
+config's seed and output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -36,14 +34,8 @@ from .encoder import (
 from .metrics import StepMetrics, write_trace
 from .retrieval import evaluate_checkpoint
 
-ENV_SEED = "NANOEMBED_SEED"
-ENV_OUTPUT_DIR = "NANOEMBED_OUTPUT_DIR"
-
-COMMANDS = ("stage1", "stage2", "eval", "ablate", "tracegrad")
-
 # Desk-scale defaults; a config file only has to name what it changes.
 _ENCODER_DEFAULTS = {"hidden_dim": 64, "embed_dim": 32}
-_OPTIMIZER_DEFAULTS = {"kind": "adam", "learning_rate": 1e-2, "clip_norm": 1.0}
 _GRADCACHE_DEFAULTS = {"enabled": False, "sub_batch": 8}
 _DEFAULT_STEPS = 1000
 _SECTIONS = (
@@ -106,21 +98,22 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A JSON number: true and "3" are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number a float holds finitely: true, "3", NaN, Infinity and
+    integers beyond the float range are not."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 # What a config field must hold in JSON, by its dataclass annotation.
 _FIELD_TYPES = {
     "int": (_is_int, "an integer"),
-    "float": (_is_number, "a number"),
+    "float": (_is_number, "a finite number"),
     "tuple[int, int]": (
         lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
         "a list of two integers",
     ),
     "dict[str, float]": (
         lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
-        "an object of numbers",
+        "an object of finite numbers",
     ),
 }
 
@@ -164,7 +157,7 @@ def load_config(
     seed_override: int | None = None,
     out_override: str | None = None,
 ) -> RunConfig:
-    """Read and validate a JSON run config, applying env and flag overrides."""
+    """Read and validate a JSON run config, applying flag overrides."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -179,11 +172,6 @@ def load_config(
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
     seed = raw.get("seed", 0)
-    if ENV_SEED in os.environ:
-        try:
-            seed = int(os.environ[ENV_SEED])
-        except ValueError:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {os.environ[ENV_SEED]!r}") from None
     if seed_override is not None:
         seed = seed_override
     if not _is_int(seed):
@@ -192,7 +180,6 @@ def load_config(
     output_dir = raw.get("output_dir", "runs")
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
-    output_dir = os.environ.get(ENV_OUTPUT_DIR, output_dir)
     if out_override is not None:
         output_dir = out_override
 
@@ -226,7 +213,7 @@ def load_config(
     teacher_raw = _section(raw, "teacher")
     offset_scale = teacher_raw.pop("offset_scale", 3.0)
     if not _is_number(offset_scale):
-        raise ConfigError(f"teacher offset_scale must be a number, got {offset_scale!r}")
+        raise ConfigError(f"teacher offset_scale must be a finite number, got {offset_scale!r}")
     offset_scale = float(offset_scale)
     if offset_scale < 0.0:
         raise ConfigError(f"teacher offset_scale must be >= 0, got {offset_scale}")
@@ -245,7 +232,7 @@ def load_config(
     miner_raw = _section(raw, "miner")
     miner = _build("miner", ng.MinerConfig, miner_raw)
 
-    optimizer_raw = {**_OPTIMIZER_DEFAULTS, **_section(raw, "optimizer")}
+    optimizer_raw = _section(raw, "optimizer")
     steps = optimizer_raw.pop("steps", _DEFAULT_STEPS)
     if not _is_int(steps) or steps < 0:
         raise ConfigError(f"optimizer steps must be a nonnegative integer, got {steps!r}")
@@ -422,12 +409,12 @@ def cmd_tracegrad(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     return outputs
 
 
-_HANDLERS = {
-    "stage1": cmd_stage1,
-    "stage2": cmd_stage2,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-    "tracegrad": cmd_tracegrad,
+COMMAND_TABLE = {
+    "stage1": (cmd_stage1, "distill the frozen teacher's similarity structure into a fresh encoder"),
+    "stage2": (cmd_stage2, "contrastive fine-tuning with mined negatives"),
+    "eval": (cmd_eval, "score a checkpoint on the corpus retrieval task"),
+    "ablate": (cmd_ablate, "sweep beta or k, tabulating filter rates and precision@1"),
+    "tracegrad": (cmd_tracegrad, "run all three negative modes and dump per-mode traces"),
 }
 
 
@@ -437,15 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-stage contrastive embedding trainer and evaluator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "stage1": "distill the frozen teacher's similarity structure into a fresh encoder",
-        "stage2": "contrastive fine-tuning with mined negatives",
-        "eval": "score a checkpoint on the corpus retrieval task",
-        "ablate": "sweep beta or k, tabulating filter rates and precision@1",
-        "tracegrad": "run all three negative modes and dump per-mode traces",
-    }
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, help=helps[name])
+    for name, (_, help_line) in COMMAND_TABLE.items():
+        cmd = sub.add_parser(name, help=help_line)
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--out", default=None, help="output directory override")
         cmd.add_argument("--seed", type=int, default=None, help="seed override")
@@ -467,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _HANDLERS[args.command](cfg, args)
+        outputs = COMMAND_TABLE[args.command][0](cfg, args)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

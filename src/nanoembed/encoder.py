@@ -114,9 +114,6 @@ class EmbeddingBatch:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def row(self, i: int) -> np.ndarray:
-        return self.matrix.values[i]
-
 
 def _init_weight_arrays(config: EncoderConfig) -> list[tuple[str, np.ndarray]]:
     """Fan-in scaled uniform weights, zero biases, in a fixed seeded order."""
@@ -131,15 +128,6 @@ def _init_weight_arrays(config: EncoderConfig) -> list[tuple[str, np.ndarray]]:
     bound = config.init_gain / np.sqrt(fan_in)
     arrays.append(("proj.weight", rng.uniform(-bound, bound, size=(fan_in, config.embed_dim))))
     return arrays
-
-
-def _last_position_features(items: Sequence[ItemRecord], input_dim: int) -> np.ndarray:
-    for it in items:
-        if it.features.shape[1] != input_dim:
-            raise DimMismatchError(
-                f"item {it.id!r} has feature width {it.features.shape[1]}, encoder expects {input_dim}"
-            )
-    return np.stack([it.features[-1] for it in items])
 
 
 def _forward(x: Tensor, weights: Sequence[Tensor], depth: int) -> Tensor:
@@ -182,10 +170,15 @@ class Encoder:
         items = list(items)
         if not items:
             raise EmptyBatchError("cannot encode an empty batch")
+        width = self.config.input_dim
         for it in items:
             if it.modality == "fused":
-                raise ValueError(f"item {it.id!r} is fused; embed it via embed_items")
-        x = ad.constant(_last_position_features(items, self.config.input_dim))
+                raise ValueError(f"item {it.id!r} is fused; stage-2 training takes text and image items only")
+            if it.features.shape[1] != width:
+                raise DimMismatchError(
+                    f"item {it.id!r} has feature width {it.features.shape[1]}, encoder expects {width}"
+                )
+        x = ad.constant(np.stack([it.features[-1] for it in items]))
         weights = [p.tensor if record else ad.constant(p.values) for p in self._params]
         return EmbeddingBatch([it.id for it in items], _forward(x, weights, self.config.depth))
 
@@ -210,18 +203,13 @@ class TeacherEncoder:
             raise ValueError(f"offset_scale must be >= 0, got {offset_scale}")
         self.config = config
         self.offset_scale = float(offset_scale)
-        self._weights = _init_weight_arrays(config)
+        self._encoder = Encoder(config)
 
     def group_direction(self, group: str) -> np.ndarray:
         return _group_direction(self.config.seed, group, self.config.embed_dim)
 
     def encode(self, items: Sequence[ItemRecord]) -> EmbeddingBatch:
-        items = list(items)
-        if not items:
-            raise EmptyBatchError("cannot encode an empty batch")
-        x = ad.constant(_last_position_features(items, self.config.input_dim))
-        weights = [ad.constant(values) for _, values in self._weights]
-        base = _forward(x, weights, self.config.depth).values
+        base = self._encoder.encode(items, record=False).values
         out = base.copy()
         for i, it in enumerate(items):
             if it.group is not None and self.offset_scale > 0.0:

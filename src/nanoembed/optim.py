@@ -80,11 +80,16 @@ def zero_grads(params: Sequence[Parameter]) -> None:
 
 
 def global_grad_norm(params: Sequence[Parameter]) -> float:
-    """L2 norm over all parameter gradients; absent gradients count as zero."""
+    """L2 norm over all parameter gradients; absent gradients count as zero.
+
+    A gradient too large to square reads as an inf norm, without a warning,
+    so the caller's finiteness check is the one report of the divergence.
+    """
     total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+    with np.errstate(over="ignore"):
+        for p in params:
+            if p.grad is not None:
+                total += float((p.grad * p.grad).sum())
     return float(np.sqrt(total))
 
 

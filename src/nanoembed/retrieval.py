@@ -71,22 +71,6 @@ def recall_at_k(ranked: Mapping[str, Sequence[str]], relevance: Mapping[str, set
 
 
 @dataclass(frozen=True)
-class RetrievalTask:
-    """Queries, a shared candidate pool, and per-query relevant id sets."""
-
-    queries: EmbeddingBatch
-    candidates: EmbeddingBatch
-    relevance: dict[str, set[str]]
-
-    def __post_init__(self):
-        candidate_ids = set(self.candidates.ids)
-        for qid in self.queries.ids:
-            relevant = self.relevance.get(qid, set())
-            if not relevant & candidate_ids:
-                raise ValueError(f"query {qid!r} has no relevant candidate in the pool")
-
-
-@dataclass(frozen=True)
 class RetrievalReport:
     """Per-query rankings plus aggregated cutoff metrics."""
 
@@ -103,24 +87,15 @@ class RetrievalReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def evaluate_task(task: RetrievalTask, ks: Sequence[int] = (1, 5)) -> RetrievalReport:
-    ranked = {
-        qid: [task.candidates.ids[i] for i in rank_candidates(task.queries.row(row), task.candidates)]
-        for row, qid in enumerate(task.queries.ids)
-    }
-    precision = {int(k): precision_at_k(ranked, task.relevance, k) for k in ks}
-    recall = {int(k): recall_at_k(ranked, task.relevance, k) for k in ks}
-    return RetrievalReport(ranked=ranked, precision_at=precision, recall_at=recall)
-
-
-def task_from_corpus(encoder: Encoder, corpus: Corpus) -> RetrievalTask:
-    """Encode a corpus for evaluation: one labeled positive per query."""
+def evaluate_checkpoint(encoder: Encoder, corpus: Corpus, ks: Sequence[int] = (1, 5)) -> RetrievalReport:
+    """Rank every corpus query against all items; each query's labeled positive is its one relevant item."""
     queries = embed_items(encoder, [pair.query for pair in corpus.pairs])
     candidates = embed_items(encoder, corpus.items)
+    ranked = {
+        qid: [candidates.ids[i] for i in rank_candidates(row, candidates)]
+        for qid, row in zip(queries.ids, queries.values)
+    }
     relevance = {pair.query.id: {pair.positive_id} for pair in corpus.pairs}
-    return RetrievalTask(queries=queries, candidates=candidates, relevance=relevance)
-
-
-def evaluate_checkpoint(encoder: Encoder, corpus: Corpus, ks: Sequence[int] = (1, 5)) -> RetrievalReport:
-    """Rank every corpus query against all items with the given encoder."""
-    return evaluate_task(task_from_corpus(encoder, corpus), ks)
+    precision = {int(k): precision_at_k(ranked, relevance, k) for k in ks}
+    recall = {int(k): recall_at_k(ranked, relevance, k) for k in ks}
+    return RetrievalReport(ranked=ranked, precision_at=precision, recall_at=recall)

@@ -4,6 +4,8 @@ rerun determinism, and the gradcache-equality guarantee."""
 import json
 import statistics
 import struct
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,13 +172,21 @@ class TestConfigLoading:
             ("stage1", {"corpus": {**CORPUS, "seq_len_range": 5}}, "seq_len_range"),
             ("stage1", {"corpus": {"path": 5}}, "path"),
             ("stage1", {"output_dir": 5}, "output_dir"),
+            ("stage2", {"miner": {"beta": float("nan"), "k": 4}}, "beta"),
+            ("stage1", {"teacher": {"offset_scale": float("nan")}}, "offset_scale"),
+            ("stage1", {"corpus": {**CORPUS, "noise_scale": float("nan")}}, "noise_scale"),
+            ("stage1", {"optimizer": {"learning_rate": float("inf"), "steps": 12}}, "learning_rate"),
+            ("ablate", {"sweep": {"beta": [0.1, float("-inf")]}}, "beta"),
+            ("stage1", {"teacher": {"offset_scale": 10**400}}, "offset_scale"),
         ],
         ids=[
             "enabled_string", "seed_bool", "steps_bool", "sub_batch_bool", "k_bool", "hidden_dim_bool",
             "embed_dim_bool", "depth_bool", "batch_size_fraction", "k_float", "hidden_dim_float",
             "sweep_k_fraction", "tau_bool", "learning_rate_bool", "offset_scale_bool",
             "offset_scale_string", "sweep_beta_bool", "modality_mix_bool", "seq_len_range_fraction",
-            "seq_len_range_scalar", "corpus_path_int", "output_dir_int",
+            "seq_len_range_scalar", "corpus_path_int", "output_dir_int", "beta_nan",
+            "offset_scale_nan", "noise_scale_nan", "learning_rate_inf", "sweep_beta_minus_inf",
+            "offset_scale_huge_int",
         ],
     )
     def test_badly_typed_value_is_usage_error(self, tmp_path, capsys, command, overrides, field):
@@ -202,25 +212,17 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="tau"):
             load_config(path)
 
-    def test_env_seed_overrides_config(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NANOEMBED_SEED", "42")
-        cfg = load_config(write_config(tmp_path))
-        assert cfg.seed == 42
-
     def test_flag_seed_beats_env_seed(self, tmp_path, monkeypatch):
+        # The environment is never read: the config sets the seed, the flag overrides it.
         monkeypatch.setenv("NANOEMBED_SEED", "42")
-        cfg = load_config(write_config(tmp_path), seed_override=5)
-        assert cfg.seed == 5
+        path = write_config(tmp_path)
+        assert load_config(path).seed == 7
+        assert load_config(path, seed_override=5).seed == 5
 
-    def test_env_output_dir_overrides_config(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NANOEMBED_OUTPUT_DIR", str(tmp_path / "envout"))
-        cfg = load_config(write_config(tmp_path, output_dir="cfgout"))
-        assert cfg.output_dir == tmp_path / "envout"
-
-    def test_non_integer_env_seed_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NANOEMBED_SEED", "many")
-        with pytest.raises(ConfigError, match="NANOEMBED_SEED"):
-            load_config(write_config(tmp_path))
+    def test_out_flag_beats_config_output_dir(self, tmp_path):
+        path = write_config(tmp_path, output_dir="cfgout")
+        assert load_config(path).output_dir == Path("cfgout")
+        assert load_config(path, out_override=str(tmp_path / "flagout")).output_dir == tmp_path / "flagout"
 
 
 class TestStage1:
@@ -347,10 +349,19 @@ class TestStage2:
     def test_divergent_run_names_its_step(self, tmp_path, capsys):
         _, checkpoint = make_stage1_checkpoint(tmp_path)
         config = write_config(tmp_path, miner={"beta": 0.1, "k": 4, "tau": 1e-300})
-        with np.errstate(over="ignore"):
+        # The error line is the only report: no overflow warning comes before it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = run("stage2", "--config", config, "--checkpoint", checkpoint, "--out", tmp_path / "out")
         assert code == 2
         assert capsys.readouterr().err == "error: step 0: grad_norm must be finite, got inf\n"
+
+    def test_fused_items_are_usage_error(self, tmp_path, capsys):
+        corpus = {**CORPUS, "seq_len_range": [2, 4], "modality_mix": {"text": 0.5, "fused": 0.5}}
+        config = write_config(tmp_path, corpus=corpus)
+        assert run("stage2", "--config", config, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: item ") and "stage-2 training takes text and image items only" in err
 
     def test_unknown_mode_is_usage_error(self, tmp_path):
         config = write_config(tmp_path)

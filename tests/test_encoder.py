@@ -187,6 +187,12 @@ class TestTeacher:
         plain = enc.TeacherEncoder(CFG, offset_scale=0.0).encode(items).values
         assert np.array_equal(with_offsets, plain)
 
+    def test_zero_offset_equals_student_encoder(self):
+        items = self.grouped_items(np.random.default_rng(4))
+        teacher = enc.TeacherEncoder(CFG, offset_scale=0.0).encode(items).values
+        student = enc.Encoder(CFG).encode(items, record=False).values
+        assert np.array_equal(teacher, student)
+
     def test_teacher_output_is_frozen(self):
         items = self.grouped_items(np.random.default_rng(3))
         batch = enc.TeacherEncoder(CFG).encode(items)

@@ -4,7 +4,7 @@ import json
 import shlex
 from pathlib import Path
 
-from nanoembed.cli import main
+from nanoembed.cli import COMMAND_TABLE, build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -33,6 +33,14 @@ def test_cli_quickstart_trains_to_perfect_precision(tmp_path, monkeypatch):
         assert main(argv[1:]) == 0
     report = json.loads((tmp_path / "out" / "eval" / "report.json").read_text())
     assert report["precision_at"]["1"] == 1.0
+
+
+def test_command_lines_parse_and_cover_every_command():
+    lines = code_block("Command line", "bash").splitlines()
+    parser = build_parser()
+    parsed = [parser.parse_args(shlex.split(line)[1:]) for line in lines]
+    assert all(line.startswith("nanoembed ") for line in lines)
+    assert {args.command for args in parsed} == set(COMMAND_TABLE)
 
 
 def test_modules_table_names_every_module():

@@ -128,34 +128,23 @@ class TestMetrics:
 
 
 class TestRetrievalTask:
-    def test_query_without_relevant_candidate_rejected(self):
-        rng = np.random.default_rng(31)
-        queries = unit_batch(rng, 2, 4, "q")
-        candidates = unit_batch(rng, 3, 4, "c")
-        relevance = {"q0": {"c1"}, "q1": {"missing"}}
-        with pytest.raises(ValueError):
-            rt.RetrievalTask(queries=queries, candidates=candidates, relevance=relevance)
+    """The retrieval task evaluate_checkpoint builds from a corpus."""
 
     def test_report_lists_are_candidate_permutations(self):
-        rng = np.random.default_rng(37)
-        queries = unit_batch(rng, 4, 8, "q")
-        candidates = unit_batch(rng, 9, 8, "c")
-        relevance = {qid: {"c0"} for qid in queries.ids}
-        report = rt.evaluate_task(rt.RetrievalTask(queries, candidates, relevance), ks=(1, 5))
+        corpus = cp.generate(cp.CorpusSpec(seed=37, n_groups=3, items_per_group=3, input_dim=8))
+        encoder = enc.Encoder(enc.EncoderConfig(8, 16, 8, seed=1))
+        report = rt.evaluate_checkpoint(encoder, corpus, ks=(1, 5))
         for ids in report.ranked.values():
-            assert sorted(ids) == sorted(candidates.ids)
+            assert sorted(ids) == sorted(it.id for it in corpus.items)
         assert set(report.precision_at) == {1, 5}
         for v in list(report.precision_at.values()) + list(report.recall_at.values()):
             assert 0.0 <= v <= 1.0
 
     def test_report_json_is_deterministic(self):
-        rng = np.random.default_rng(41)
-        queries = unit_batch(rng, 2, 4, "q")
-        candidates = unit_batch(rng, 4, 4, "c")
-        relevance = {qid: {"c2"} for qid in queries.ids}
-        task = rt.RetrievalTask(queries, candidates, relevance)
-        a = rt.evaluate_task(task, ks=(1,)).to_json()
-        b = rt.evaluate_task(task, ks=(1,)).to_json()
+        corpus = cp.generate(cp.CorpusSpec(seed=41, n_groups=2, items_per_group=2, input_dim=4))
+        encoder = enc.Encoder(enc.EncoderConfig(4, 8, 4, seed=2))
+        a = rt.evaluate_checkpoint(encoder, corpus, ks=(1,)).to_json()
+        b = rt.evaluate_checkpoint(encoder, corpus, ks=(1,)).to_json()
         assert a == b
         assert '"precision_at"' in a
 
