@@ -305,7 +305,7 @@ def _write_report(out_dir: Path, encoder: Encoder, corpus: Corpus) -> str:
     ks = (1, 5) if len(corpus.items) >= 5 else (1,)
     report = evaluate_checkpoint(encoder, corpus, ks=ks)
     with atomic_open(out_dir / "report.json") as handle:
-        handle.write(report.to_json())
+        report.write_json(handle)
         handle.write("\n")
     return "report.json"
 

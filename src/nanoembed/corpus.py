@@ -23,6 +23,7 @@ filter's job verifiable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -80,6 +81,9 @@ class CorpusSpec:
             raise InvalidSpecError(f"bad seq_len_range {self.seq_len_range}")
         if not 0.0 <= self.false_negative_rate <= 1.0:
             raise InvalidSpecError(f"false_negative_rate must be in [0, 1], got {self.false_negative_rate}")
+        scales = (self.noise_scale, self.centroid_scale, self.pair_scale)
+        if not all(map(math.isfinite, scales)):
+            raise InvalidSpecError(f"scales must be finite, got {scales}")
         if self.noise_scale < 0.0 or self.centroid_scale <= 0.0 or self.pair_scale < 0.0:
             raise InvalidSpecError("scales must be non-negative (centroid_scale strictly positive)")
         if not 0.0 <= self.view_mix <= 1.0:
@@ -90,8 +94,8 @@ class CorpusSpec:
         for name, weight in self.modality_mix.items():
             if name not in ("text", "image", "fused"):
                 raise InvalidSpecError(f"unknown modality {name!r} in mix")
-            if weight < 0.0:
-                raise InvalidSpecError(f"negative weight for modality {name!r}")
+            if not (weight >= 0.0 and math.isfinite(weight)):
+                raise InvalidSpecError(f"weight for modality {name!r} must be finite and >= 0, got {weight}")
             total += weight
         if abs(total - 1.0) > 1e-9:
             raise InvalidSpecError(f"modality_mix weights must sum to 1, got {total}")

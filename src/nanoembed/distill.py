@@ -9,6 +9,7 @@ reach student parameters only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class DistillConfig:
     batch_size: int = 16
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ad.NonPositiveTemperatureError(f"tau must be > 0, got {self.tau}")
+        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+            raise ad.NonPositiveTemperatureError(f"tau must be finite and > 0, got {self.tau}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
 

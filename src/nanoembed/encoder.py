@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -63,8 +64,8 @@ class EncoderConfig:
         for name in ("input_dim", "hidden_dim", "embed_dim", "depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.init_gain > 0.0:
-            raise ValueError(f"init_gain must be > 0, got {self.init_gain}")
+        if not (self.init_gain > 0.0 and math.isfinite(self.init_gain)):
+            raise ValueError(f"init_gain must be finite and > 0, got {self.init_gain}")
 
 
 @dataclass
@@ -199,8 +200,8 @@ class TeacherEncoder:
     """
 
     def __init__(self, config: EncoderConfig, offset_scale: float = 3.0):
-        if offset_scale < 0.0:
-            raise ValueError(f"offset_scale must be >= 0, got {offset_scale}")
+        if not (offset_scale >= 0.0 and math.isfinite(offset_scale)):
+            raise ValueError(f"offset_scale must be finite and >= 0, got {offset_scale}")
         self.config = config
         self.offset_scale = float(offset_scale)
         self._encoder = Encoder(config)

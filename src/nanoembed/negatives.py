@@ -16,6 +16,7 @@ reference it is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,8 +47,10 @@ class MinerConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
+        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,10 +25,10 @@ class OptimizerSettings:
     def __post_init__(self):
         if self.kind not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.clip_norm > 0.0:
-            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
+        if not (self.learning_rate > 0.0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (self.clip_norm > 0.0 and math.isfinite(self.clip_norm)):
+            raise ValueError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
 
 
 class Sgd:

@@ -2,14 +2,17 @@
 similarity and aggregate Precision@k / Recall@k.
 
 Scoring is exact (no approximate index); ties break by ascending candidate
-index, matching the negative miner's ordering.
+index, matching the negative miner's ordering.  A report keeps its rankings
+as one query-by-candidate index matrix and writes its JSON one query at a
+time.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -34,14 +37,18 @@ def rank_scores(scores: np.ndarray) -> list[int]:
     return [int(i) for i in order]
 
 
-def rank_candidates(q_row: np.ndarray, candidates: EmbeddingBatch) -> list[int]:
-    """Candidate indices ordered by cosine similarity to the query."""
+def rank_candidates(q_row: np.ndarray, candidates: EmbeddingBatch) -> np.ndarray:
+    """Candidate indices ordered by cosine similarity to the query.
+
+    The same order as rank_scores of the same scores: the stable sort keeps
+    tied candidates in ascending index order.
+    """
     if len(candidates) == 0:
         raise EmptyCandidatesError("no candidates to rank")
     q = np.asarray(q_row, dtype=np.float64).reshape(-1)
     if q.size != candidates.dim:
         raise ValueError(f"query width {q.size} != candidate width {candidates.dim}")
-    return rank_scores(candidates.values @ q)
+    return np.argsort(-(candidates.values @ q), kind="stable")
 
 
 def _check_k(ranked: Mapping[str, Sequence[str]], k: int) -> None:
@@ -70,32 +77,65 @@ def recall_at_k(ranked: Mapping[str, Sequence[str]], relevance: Mapping[str, set
     return float(np.mean(hits))
 
 
-@dataclass(frozen=True)
-class RetrievalReport:
-    """Per-query rankings plus aggregated cutoff metrics."""
+def _nested_json(payload) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) as written one level deep."""
+    # Encoded JSON holds no raw newline, so each one starts an indented line.
+    return json.dumps(payload, sort_keys=True, indent=2).replace("\n", "\n  ")
 
-    ranked: dict[str, list[str]]
+
+@dataclass(frozen=True, eq=False)
+class RetrievalReport:
+    """Per-query rankings plus aggregated cutoff metrics.
+
+    Row i of order holds the candidate indices ranked for query_ids[i].
+    """
+
+    query_ids: list[str]
+    candidate_ids: list[str]
+    order: np.ndarray
     precision_at: dict[int, float]
     recall_at: dict[int, float]
 
+    @property
+    def ranked(self) -> dict[str, list[str]]:
+        """Each query's ranked candidate ids."""
+        ids = np.array(self.candidate_ids, dtype=object)
+        return {qid: ids[row].tolist() for qid, row in zip(self.query_ids, self.order)}
+
+    def write_json(self, handle: IO[str]) -> None:
+        """Write json.dumps of {precision_at, recall_at, ranked} with
+        sort_keys=True and indent=2, one query at a time."""
+        handle.write('{\n  "precision_at": ')
+        handle.write(_nested_json({str(k): v for k, v in self.precision_at.items()}))
+        handle.write(',\n  "ranked": {')
+        quoted = np.array([json.dumps(cid) for cid in self.candidate_ids], dtype=object)
+        separator = "\n    "
+        for i in sorted(range(len(self.query_ids)), key=self.query_ids.__getitem__):
+            items = ",\n      ".join(quoted[self.order[i]].tolist())
+            handle.write(f"{separator}{json.dumps(self.query_ids[i])}: [\n      {items}\n    ]")
+            separator = ",\n    "
+        handle.write("\n  }" if self.query_ids else "}")
+        handle.write(',\n  "recall_at": ')
+        handle.write(_nested_json({str(k): v for k, v in self.recall_at.items()}))
+        handle.write("\n}")
+
     def to_json(self) -> str:
-        payload = {
-            "precision_at": {str(k): v for k, v in sorted(self.precision_at.items())},
-            "recall_at": {str(k): v for k, v in sorted(self.recall_at.items())},
-            "ranked": self.ranked,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        buffer = io.StringIO()
+        self.write_json(buffer)
+        return buffer.getvalue()
 
 
 def evaluate_checkpoint(encoder: Encoder, corpus: Corpus, ks: Sequence[int] = (1, 5)) -> RetrievalReport:
     """Rank every corpus query against all items; each query's labeled positive is its one relevant item."""
     queries = embed_items(encoder, [pair.query for pair in corpus.pairs])
     candidates = embed_items(encoder, corpus.items)
-    ranked = {
-        qid: [candidates.ids[i] for i in rank_candidates(row, candidates)]
-        for qid, row in zip(queries.ids, queries.values)
-    }
+    order = np.empty((len(queries), len(candidates)), dtype=np.intp)
+    for i, row in enumerate(queries.values):
+        order[i] = rank_candidates(row, candidates)
+    # The metrics read no further down a ranking than the largest cutoff.
+    depth = max(ks, default=0)
+    top = {qid: [candidates.ids[j] for j in row] for qid, row in zip(queries.ids, order[:, :depth].tolist())}
     relevance = {pair.query.id: {pair.positive_id} for pair in corpus.pairs}
-    precision = {int(k): precision_at_k(ranked, relevance, k) for k in ks}
-    recall = {int(k): recall_at_k(ranked, relevance, k) for k in ks}
-    return RetrievalReport(ranked=ranked, precision_at=precision, recall_at=recall)
+    precision = {int(k): precision_at_k(top, relevance, k) for k in ks}
+    recall = {int(k): recall_at_k(top, relevance, k) for k in ks}
+    return RetrievalReport(queries.ids, candidates.ids, order, precision, recall)

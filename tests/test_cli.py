@@ -15,6 +15,7 @@ from nanoembed import negatives as ng
 from nanoembed.cli import ConfigError, load_config, main
 from nanoembed.encoder import Encoder, load_checkpoint
 from nanoembed.metrics import StepMetrics, read_trace
+from nanoembed.retrieval import RetrievalReport
 
 
 CORPUS = {"seed": 3, "n_groups": 4, "items_per_group": 4, "input_dim": 8}
@@ -396,6 +397,31 @@ class TestEval:
         for out in (a, b):
             assert run("eval", "--config", config, "--checkpoint", checkpoint, "--out", out) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+    def test_report_is_streamed_not_built_whole(self, tmp_path, monkeypatch):
+        def whole_string(self):
+            raise AssertionError("eval built report.json as one string")
+
+        monkeypatch.setattr(RetrievalReport, "to_json", whole_string)
+        config, checkpoint = make_stage1_checkpoint(tmp_path)
+        assert run("eval", "--config", config, "--checkpoint", checkpoint, "--out", tmp_path / "out") == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["ranked"]
+
+    def test_interrupted_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        config, checkpoint = make_stage1_checkpoint(tmp_path)
+        out = tmp_path / "out"
+        assert run("eval", "--config", config, "--checkpoint", checkpoint, "--out", out) == 0
+        before = (out / "report.json").read_bytes()
+
+        def failing_write_json(self, handle):
+            handle.write('{\n  "precision_at": ')
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(RetrievalReport, "write_json", failing_write_json)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            run("eval", "--config", config, "--out", out)
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "run_info.json"]
+        assert (out / "report.json").read_bytes() == before
 
     def test_eval_without_checkpoint_scores_fresh_init(self, tmp_path):
         config = write_config(tmp_path)

@@ -40,6 +40,20 @@ class TestSpecValidation:
         with pytest.raises(cp.InvalidSpecError):
             cp.CorpusSpec(false_negative_rate=1.5)
 
+    @pytest.mark.parametrize("overrides", [
+        {"noise_scale": float("nan")},
+        {"noise_scale": float("inf")},
+        {"centroid_scale": float("nan")},
+        {"centroid_scale": float("inf")},
+        {"pair_scale": float("nan")},
+        {"pair_scale": float("inf")},
+        {"modality_mix": {"text": float("nan")}},
+        {"modality_mix": {"text": float("inf"), "image": -float("inf")}},
+    ])
+    def test_non_finite_values_rejected(self, overrides):
+        with pytest.raises(cp.InvalidSpecError, match="finite"):
+            cp.CorpusSpec(**overrides)
+
     def test_modality_mix_must_sum_to_one(self):
         with pytest.raises(cp.InvalidSpecError):
             cp.CorpusSpec(modality_mix={"text": 0.5})

@@ -230,3 +230,8 @@ class TestStage1Train:
             ds.DistillConfig(tau=-1.0)
         with pytest.raises(ValueError):
             ds.DistillConfig(batch_size=1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_tau_rejected(self, value):
+        with pytest.raises(ad.NonPositiveTemperatureError, match="tau"):
+            ds.DistillConfig(tau=value)

@@ -152,6 +152,16 @@ class TestEncoderGradcheck:
         assert report.passed, report
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("build", [
+    lambda value: enc.EncoderConfig(input_dim=6, hidden_dim=6, embed_dim=4, init_gain=value),
+    lambda value: enc.TeacherEncoder(CFG, offset_scale=value),
+], ids=["init_gain", "offset_scale"])
+def test_non_finite_scales_rejected(build, value):
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
+
+
 class TestTeacher:
     def grouped_items(self, rng, groups=("g0", "g1", "g2"), per_group=4, input_dim=6):
         items = []

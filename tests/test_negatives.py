@@ -132,6 +132,16 @@ class TestMinerConfig:
         with pytest.raises(ValueError):
             neg.MinerConfig(tau=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("beta", float("nan")), ("beta", float("inf")), ("beta", -float("inf")), ("tau", float("inf")),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            neg.MinerConfig(**{field: value})
+
+    def test_negative_beta_stays_legal(self):
+        assert neg.MinerConfig(beta=-0.1).beta == -0.1
+
 
 class TestMineBatch:
     def test_matches_per_query_brute_force(self):

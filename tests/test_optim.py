@@ -97,6 +97,12 @@ class TestSettings:
         with pytest.raises(ValueError):
             optim.OptimizerSettings(clip_norm=0.0)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "clip_norm"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            optim.OptimizerSettings(**{field: value})
+
     def test_factory_builds_both_kinds(self):
         assert isinstance(optim.make_optimizer(optim.OptimizerSettings(kind="adam")), optim.Adam)
         assert isinstance(optim.make_optimizer(optim.OptimizerSettings(kind="sgd")), optim.Sgd)

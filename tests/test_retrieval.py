@@ -1,12 +1,18 @@
 """Tests for exhaustive ranking and Precision@k / Recall@k aggregation.
 
 Rankings are checked against a brute-force sort with an explicit
-(-similarity, index) key, and the aggregate metrics against plain
-counting loops.
+(-similarity, index) key and against the rank_scores oracle, the aggregate
+metrics against plain counting loops, and the streamed report against
+json.dumps of the same payload.
 """
+
+import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanoembed import autodiff as ad
 from nanoembed import corpus as cp
@@ -59,18 +65,32 @@ class TestRankCandidates:
         q /= np.linalg.norm(q)
         sims = candidates.values @ q
         expected = sorted(range(200), key=lambda j: (-sims[j], j))
-        assert rt.rank_candidates(q, candidates) == expected
+        assert rt.rank_candidates(q, candidates).tolist() == expected
 
     def test_duplicate_rows_keep_index_order(self):
         row = np.array([0.6, 0.8])
         candidates = batch_from_rows(np.stack([row, row, row]), "c")
-        assert rt.rank_candidates(np.array([1.0, 0.0]), candidates) == [0, 1, 2]
+        assert rt.rank_candidates(np.array([1.0, 0.0]), candidates).tolist() == [0, 1, 2]
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(3)
         candidates = unit_batch(rng, 4, 8, "c")
         with pytest.raises(ValueError):
             rt.rank_candidates(np.ones(5), candidates)
+
+    # Scores on a 0.1 grid tie often; -0.0 and 0.0 compare equal and must
+    # tie as well.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([round(0.1 * i, 1) for i in range(-10, 11)] + [-0.0]),
+                    min_size=1, max_size=40))
+    def test_matches_rank_scores_oracle(self, grid_scores):
+        # Row (s, sqrt(1 - s^2)) against q = (1, -0) scores exactly s, keeping the sign of a zero.
+        rows = np.array([[s, np.sqrt(1.0 - s * s)] for s in grid_scores])
+        candidates = enc.EmbeddingBatch([f"c{j}" for j in range(len(rows))], ad.constant(rows))
+        q = np.array([1.0, -0.0])
+        order = rt.rank_candidates(q, candidates)
+        assert order.dtype == np.intp
+        assert order.tolist() == rt.rank_scores(candidates.values @ q)
 
 
 class TestMetrics:
@@ -173,3 +193,69 @@ class TestEvaluateCheckpoint:
         item_ids = sorted(it.id for it in corpus.items)
         for ids in report.ranked.values():
             assert sorted(ids) == item_ids
+
+
+def item(item_id, features, group=None):
+    return cp.ItemRecord(item_id, "text", np.asarray(features, dtype=np.float64), group)
+
+
+def legacy_json(report, encoder, corpus):
+    """The report as json.dumps wrote it whole, rankings from rank_scores."""
+    queries = enc.embed_items(encoder, [pair.query for pair in corpus.pairs])
+    candidates = enc.embed_items(encoder, corpus.items)
+    ranked = {
+        qid: [candidates.ids[j] for j in rt.rank_scores(candidates.values @ row)]
+        for qid, row in zip(queries.ids, queries.values)
+    }
+    assert report.ranked == ranked
+    payload = {
+        "precision_at": {str(k): v for k, v in sorted(report.precision_at.items())},
+        "recall_at": {str(k): v for k, v in sorted(report.recall_at.items())},
+        "ranked": ranked,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def assert_streams_legacy_bytes(encoder, corpus, ks):
+    report = rt.evaluate_checkpoint(encoder, corpus, ks=ks)
+    expected = legacy_json(report, encoder, corpus)
+    buffer = io.StringIO()
+    report.write_json(buffer)
+    assert buffer.getvalue() == expected
+    assert report.to_json() == expected
+    return report
+
+
+class TestReportJson:
+    """write_json streams exactly the bytes of json.dumps(..., sort_keys=True, indent=2)."""
+
+    @pytest.mark.parametrize("ks", [(1, 5, 10), (10, 2), ()])
+    def test_matches_json_dumps(self, ks):
+        corpus = cp.generate(cp.CorpusSpec(seed=43, n_groups=3, items_per_group=5, input_dim=6))
+        encoder = enc.Encoder(enc.EncoderConfig(6, 12, 6, seed=4))
+        report = assert_streams_legacy_bytes(encoder, corpus, ks)
+        assert sorted(report.precision_at) == sorted(ks)
+        if not ks:
+            assert '"precision_at": {}' in report.to_json()
+
+    def test_ids_that_need_escaping(self):
+        rng = np.random.default_rng(47)
+        names = ['quo"te', "back\\slash", "caf\u00e9", "\u65e5\u672c", "tab\tnew\nline", "Zeta", "alpha"]
+        items = [item(f"c-{name}", rng.normal(size=(2, 4))) for name in names]
+        pairs = [
+            cp.PairRecord(item(f"q-{name}", rng.normal(size=(2, 4))), items[(i * 3) % len(items)].id)
+            for i, name in enumerate(reversed(names))
+        ]
+        encoder = enc.Encoder(enc.EncoderConfig(4, 8, 4, seed=5))
+        assert_streams_legacy_bytes(encoder, cp.Corpus(items, pairs), (1, 5))
+
+    def test_one_candidate(self):
+        rng = np.random.default_rng(53)
+        only = item("only", rng.normal(size=(1, 4)))
+        pairs = [cp.PairRecord(item(f"q{i}", rng.normal(size=(1, 4))), "only") for i in range(3)]
+        corpus = cp.Corpus([only], pairs)
+        encoder = enc.Encoder(enc.EncoderConfig(4, 8, 4, seed=6))
+        report = assert_streams_legacy_bytes(encoder, corpus, (1,))
+        assert report.precision_at == {1: 1.0}
+        with pytest.raises(rt.KExceedsCandidatesError):
+            rt.evaluate_checkpoint(encoder, corpus, ks=(1, 2))
