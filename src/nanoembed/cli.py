@@ -174,8 +174,8 @@ def load_config(
     seed = raw.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
-    if not _is_int(seed):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     output_dir = raw.get("output_dir", "runs")
     if not isinstance(output_dir, str):

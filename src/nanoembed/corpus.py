@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .encoder import ItemRecord
 
 PLANTED_SUFFIX = "#dup"
@@ -74,6 +75,8 @@ class CorpusSpec:
     view_mix: float = 1.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         if self.n_groups < 1 or self.items_per_group < 1 or self.input_dim < 1:
             raise InvalidSpecError("n_groups, items_per_group, and input_dim must be >= 1")
         lo, hi = self.seq_len_range
@@ -259,7 +262,7 @@ def _item_from_json(obj: dict, line_number: int) -> ItemRecord:
 
 def write_corpus(path, corpus: Corpus) -> None:
     """Write one JSON record per line: items first, then pairs."""
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for item in corpus.items:
             fh.write(json.dumps({"kind": "item", **_item_to_json(item)}, sort_keys=True))
             fh.write("\n")

@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +64,8 @@ class EncoderConfig:
         for name in ("input_dim", "hidden_dim", "embed_dim", "depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.init_gain > 0.0 and math.isfinite(self.init_gain)):
             raise ValueError(f"init_gain must be finite and > 0, got {self.init_gain}")
 
@@ -266,17 +268,7 @@ def embed_items(encoder: Encoder, items: Sequence[ItemRecord]) -> EmbeddingBatch
 
 def save_checkpoint(path, encoder: Encoder) -> None:
     """Write encoder config and weights as a little-endian binary dump."""
-    config_blob = json.dumps(
-        {
-            "input_dim": encoder.config.input_dim,
-            "hidden_dim": encoder.config.hidden_dim,
-            "embed_dim": encoder.config.embed_dim,
-            "depth": encoder.config.depth,
-            "seed": encoder.config.seed,
-            "init_gain": encoder.config.init_gain,
-        },
-        sort_keys=True,
-    ).encode()
+    config_blob = json.dumps(asdict(encoder.config), sort_keys=True).encode()
     arrays = encoder.weight_arrays()
     with atomic_open(path, "wb") as fh:
         fh.write(struct.pack("<4sH", _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION))
@@ -315,9 +307,10 @@ def load_checkpoint(path) -> Encoder:
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     (config_len,) = unpack("<I", "config length")
+    config_blob = take(config_len, "config")
     try:
-        config = EncoderConfig(**json.loads(take(config_len, "config").decode()))
-    except TypeError as exc:
+        encoder = Encoder(EncoderConfig(**json.loads(config_blob.decode())))
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad encoder config: {exc}") from None
     (n_params,) = unpack("<I", "array count")
     arrays = []
@@ -331,6 +324,8 @@ def load_checkpoint(path) -> Encoder:
         arrays.append((name, data.astype(np.float64)))
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last array")
-    encoder = Encoder(config)
-    encoder.load_weight_arrays(arrays)
+    try:
+        encoder.load_weight_arrays(arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return encoder

@@ -67,13 +67,15 @@ class DistillObjective:
 
 @dataclass
 class ContrastiveObjective:
-    """InfoNCE over a batch laid out as n_queries query rows then candidates.
+    """InfoNCE of query rows against candidate rows: the one scoring rule of
+    a stage-2 step, naive or cached.
 
-    Negative selection runs on plain embedding values, outside the graph, so
-    the naive and cached paths mine from the same numbers.  seed is an int
-    (each mine starts a fresh generator) or a Generator (each mine draws on
-    from it).  selection_rates holds the FalseNeg% and duplication rate of
-    the latest mine.
+    loss_between mines negatives on the plain embedding values, outside the
+    graph, then builds the loss; loss_on does the same for a batch laid out
+    as n_queries query rows then the candidates.  seed is an int (each mine
+    starts a fresh generator) or a Generator (each mine draws on from it).
+    selection_rates holds the FalseNeg% and duplication rate of the latest
+    mine.
     """
 
     n_queries: int
@@ -91,19 +93,8 @@ class ContrastiveObjective:
         if self.mode not in ng.NEGATIVE_MODES:
             raise ng.ModeUnknownError(f"mode must be one of {ng.NEGATIVE_MODES}, got {self.mode!r}")
 
-    def _split(self, total_rows: int) -> int:
-        n_candidates = total_rows - self.n_queries
-        if n_candidates < 1:
-            raise ValueError(f"batch of {total_rows} rows leaves no candidates after {self.n_queries} queries")
-        for pos in self.positives:
-            if not 0 <= pos < n_candidates:
-                raise IndexError(f"positive index {pos} out of range for {n_candidates} candidates")
-        return n_candidates
-
-    def mine(self, values: np.ndarray) -> list[list[int]]:
+    def mine(self, queries: np.ndarray, candidates: np.ndarray) -> list[list[int]]:
         """Per-query negative candidate indices, deterministic given values."""
-        self._split(values.shape[0])
-        queries, candidates = values[: self.n_queries], values[self.n_queries :]
         rng = np.random.default_rng(self.seed)
         negatives, filtered, dup = ng.select_negatives(
             queries @ candidates.T, self.positives, self.config.k, self.mode, self.config.beta, rng
@@ -111,17 +102,20 @@ class ContrastiveObjective:
         self.selection_rates = ng.selection_rates(filtered, dup)
         return negatives.tolist()
 
-    def loss_on(self, emb: EmbeddingBatch) -> Tensor:
+    def loss_between(self, queries: Tensor, candidates: Tensor) -> Tensor:
         from . import infonce as nce  # imported here because infonce imports this module
 
-        n_candidates = self._split(len(emb))
-        negative_lists = self.mine(emb.values)
-        query_rows = ad.gather_rows(emb.matrix, list(range(self.n_queries)))
-        candidate_rows = ad.gather_rows(
-            emb.matrix, list(range(self.n_queries, self.n_queries + n_candidates))
-        )
+        negative_lists = self.mine(queries.values, candidates.values)
         return nce.infonce_batch_loss(
-            query_rows, candidate_rows, list(self.positives), negative_lists, self.config.tau
+            queries, candidates, list(self.positives), negative_lists, self.config.tau
+        )
+
+    def loss_on(self, emb: EmbeddingBatch) -> Tensor:
+        n, total = self.n_queries, len(emb)
+        if total <= n:
+            raise ValueError(f"batch of {total} rows leaves no candidates after {n} queries")
+        return self.loss_between(
+            ad.gather_rows(emb.matrix, list(range(n))), ad.gather_rows(emb.matrix, list(range(n, total)))
         )
 
 

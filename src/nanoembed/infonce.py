@@ -130,12 +130,15 @@ def stage2_train(
     """Contrastive fine-tuning against the full candidate pool.
 
     Every step encodes a seeded permutation of all queries plus every
-    candidate item, mines per-query negatives in the requested mode, and
-    descends the mean InfoNCE loss.  With sub_batch set, each step runs
-    through the two-pass gradient cache over sub-batches of that many rows
-    and mines once, on the pass-1 embeddings.  Batch and random-negative
-    draws come from one generator in the same order on both paths, so they
-    walk the same trajectory up to float round-off.  The trace records the
+    candidate item and descends the mean InfoNCE loss of one
+    ContrastiveObjective, which mines per-query negatives in the requested
+    mode and scores the batch on both paths.  Without sub_batch the step
+    encodes queries and candidates with recording and backpropagates once;
+    with it, the step runs through the two-pass gradient cache over
+    sub-batches of that many rows and mines once, on the pass-1 embeddings.
+    Batch and random-negative draws come from one generator in the same
+    order on both paths, so they walk the same trajectory up to float
+    round-off.  The trace records the objective's selection rates and the
     pre-clip gradient norm.
     """
     if negative_mode not in NEGATIVE_MODES:
@@ -154,39 +157,23 @@ def stage2_train(
         batch_pairs = [pairs[int(i)] for i in picks]
         queries = [p.query for p in batch_pairs]
         positives = [corpus.item_index(p.positive_id) for p in batch_pairs]
+        # default_rng(rng) returns rng itself, so mining draws from the loop's stream.
+        objective = ContrastiveObjective(
+            n_queries=len(queries), positives=tuple(positives), config=config,
+            mode=negative_mode, seed=rng,
+        )
         if sub_batch is None:
-            query_batch = encoder.encode(queries)
-            candidate_batch = encoder.encode(corpus.items)
-            sims = query_batch.values @ candidate_batch.values.T
-            negatives, filtered, dup = ng.select_negatives(
-                sims, positives, config.k, negative_mode, config.beta, rng
-            )
-            rates = ng.selection_rates(filtered, dup)
-            batch_loss = infonce_batch_loss(
-                query_batch.matrix, candidate_batch.matrix, positives, negatives, config.tau
+            batch_loss = objective.loss_between(
+                encoder.encode(queries).matrix, encoder.encode(corpus.items).matrix
             )
             optim.zero_grads(params)
             ad.backward(batch_loss)
             loss = batch_loss.item()
         else:
-            # default_rng(rng) returns rng itself, so mining draws from the loop's stream.
-            objective = ContrastiveObjective(
-                n_queries=len(queries), positives=tuple(positives), config=config,
-                mode=negative_mode, seed=rng,
-            )
             items = queries + list(corpus.items)
             plan = CachePlan(effective_batch=len(items), sub_batch=min(sub_batch, len(items)))
             _, loss, _ = cached_step(encoder, items, objective, plan)
-            rates = objective.selection_rates
         grad_norm = optim.clip_global_norm(params, settings.clip_norm)
         optimizer.step(params)
-        trace.append(
-            StepMetrics(
-                step=step,
-                loss=loss,
-                grad_norm=grad_norm,
-                false_neg_pct=rates[0],
-                duplication_rate=rates[1],
-            )
-        )
+        trace.append(StepMetrics(step, loss, grad_norm, *objective.selection_rates))
     return trace

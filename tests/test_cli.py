@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nanoembed import gradcache as gc
 from nanoembed import infonce as nce
 from nanoembed import negatives as ng
 from nanoembed.cli import ConfigError, load_config, main
@@ -198,6 +199,23 @@ class TestConfigLoading:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flags, overrides, message",
+        [
+            (["--seed", "-1"], {}, "seed must be a non-negative integer, got -1"),
+            ([], {"seed": -1}, "seed must be a non-negative integer, got -1"),
+            ([], {"encoder": {"hidden_dim": 16, "embed_dim": 8, "seed": -5}},
+             "bad 'encoder' config: seed must be >= 0, got -5"),
+            ([], {"corpus": {**CORPUS, "seed": -3}}, "bad 'corpus' config: seed must be >= 0, got -3"),
+        ],
+        ids=["seed_flag", "run_seed", "encoder_seed", "corpus_seed"],
+    )
+    def test_negative_seed_is_usage_error_naming_its_field(self, tmp_path, capsys, flags, overrides, message):
+        config = write_config(tmp_path, **overrides)
+        assert run("stage1", "--config", config, *flags, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_negative_steps_rejected(self, tmp_path):
         path = write_config(tmp_path, optimizer={"steps": -1})
         with pytest.raises(ConfigError, match="steps"):
@@ -320,6 +338,21 @@ class TestStage2:
         assert len(calls) == 12
         assert sum(rows) == 12 * 2 * (len(corpus.pairs) + len(corpus.items))
 
+    @pytest.mark.parametrize("enabled", [False, True], ids=["naive", "cached"])
+    def test_both_paths_score_each_step_through_one_objective(self, tmp_path, monkeypatch, enabled):
+        _, checkpoint = make_stage1_checkpoint(tmp_path)
+        config = write_config(tmp_path, name="run.json", gradcache={"enabled": enabled, "sub_batch": 5})
+        calls = []
+        mine = gc.ContrastiveObjective.mine
+
+        def counting_mine(self, *args):
+            calls.append(1)
+            return mine(self, *args)
+
+        monkeypatch.setattr(gc.ContrastiveObjective, "mine", counting_mine)
+        assert run("stage2", "--config", config, "--checkpoint", checkpoint, "--out", tmp_path / "out") == 0
+        assert len(calls) == 12
+
     def test_gradcache_rerun_is_byte_identical(self, tmp_path):
         config, checkpoint = make_stage1_checkpoint(tmp_path)
         cached = write_config(tmp_path, name="cached.json", gradcache={"enabled": True, "sub_batch": 4})
@@ -431,6 +464,14 @@ class TestEval:
         assert 0.0 <= report["precision_at"]["1"] <= 1.0
 
 
+def with_config(good: bytes, **changes) -> bytes:
+    """The checkpoint good with fields of its encoder config blob replaced."""
+    (length,) = struct.unpack_from("<I", good, 6)
+    config = {**json.loads(good[10 : 10 + length]), **changes}
+    blob = json.dumps(config, sort_keys=True).encode()
+    return good[:6] + struct.pack("<I", len(blob)) + blob + good[10 + length :]
+
+
 # A damaged checkpoint file, built from the bytes of a good one.
 DAMAGED_CHECKPOINTS = {
     "three_bytes": lambda good: good[:3],
@@ -438,6 +479,10 @@ DAMAGED_CHECKPOINTS = {
     "trailing_garbage": lambda good: good + b"garbage",
     "nan_weight": lambda good: good[:-8] + struct.pack("<d", float("nan")),
     "inf_weight": lambda good: good[:-8] + struct.pack("<d", float("inf")),
+    "hidden_dim_float": lambda good: with_config(good, hidden_dim=16.0),
+    "seed_fraction": lambda good: with_config(good, seed=7.5),
+    "seed_negative": lambda good: with_config(good, seed=-1),
+    "hidden_dim_mismatch": lambda good: with_config(good, hidden_dim=17),
 }
 
 

@@ -198,6 +198,24 @@ class TestCorpusRoundTrip:
         cp.write_corpus(p2, cp.read_corpus(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.jsonl"
+        cp.write_corpus(path, cp.generate(SPEC))
+        before = path.read_bytes()
+        item_to_json, calls = cp._item_to_json, []
+
+        def failing_item_to_json(item):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("disk gone")
+            return item_to_json(item)
+
+        monkeypatch.setattr(cp, "_item_to_json", failing_item_to_json)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            cp.write_corpus(path, cp.generate(cp.CorpusSpec(seed=12)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
     def test_malformed_json_names_the_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         corpus = cp.generate(SPEC)

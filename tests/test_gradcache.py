@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nanoembed import autodiff as ad
 from nanoembed import corpus as cp
 from nanoembed import encoder as enc
 from nanoembed import gradcache as gc
@@ -70,6 +71,13 @@ class TestObjectiveValidation:
         with pytest.raises(ModeUnknownError):
             gc.ContrastiveObjective(n_queries=1, positives=(0,), config=ng.MinerConfig(), mode="medium")
 
+    def test_contrastive_batch_needs_candidates_and_in_range_positives(self):
+        encoder, items, objective = contrastive_case()
+        with pytest.raises(ValueError, match="leaves no candidates after 32 queries"):
+            objective.loss_on(encoder.encode(items[:32], record=False))
+        with pytest.raises(IndexError, match="positive index 31 out of range for 31 candidates"):
+            objective.loss_on(encoder.encode(items[:63], record=False))
+
     def test_distill_requires_matching_ids(self):
         encoder, items, objective = distill_case()
         shuffled = list(items)
@@ -103,6 +111,13 @@ class TestGradientEquality:
         for name in naive_grads:
             np.testing.assert_allclose(grads[name], naive_grads[name], atol=1e-9, rtol=0)
 
+    def test_loss_on_scores_the_batch_as_loss_between_its_halves(self):
+        encoder, items, objective = contrastive_case()
+        emb = encoder.encode(items, record=False)
+        n = objective.n_queries
+        queries, candidates = ad.constant(emb.values[:n]), ad.constant(emb.values[n:])
+        assert objective.loss_on(emb).item() == objective.loss_between(queries, candidates).item()
+
     def test_degenerate_plan_is_exactly_naive(self):
         encoder, items, objective = distill_case(2)
         naive_grads, naive_loss = gc.naive_step(encoder, items, objective)
@@ -120,7 +135,11 @@ class TestGradientEquality:
         _, _, stats = gc.cached_step(
             encoder, items, objective, gc.CachePlan(effective_batch=64, sub_batch=8)
         )
-        assert objective.mine(stats.embedding_values) == objective.mine(naive_emb.values)
+        n = objective.n_queries
+        cached_values = stats.embedding_values
+        assert objective.mine(cached_values[:n], cached_values[n:]) == objective.mine(
+            naive_emb.values[:n], naive_emb.values[n:]
+        )
 
     def test_planted_corpus_with_filtering_still_matches(self):
         corpus, encoder = make_setup(4, rate=0.25)
