@@ -61,11 +61,12 @@ class EncoderConfig:
     init_gain: float = 1.0
 
     def __post_init__(self):
-        for name in ("input_dim", "hidden_dim", "embed_dim", "depth"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("input_dim", 1), ("hidden_dim", 1), ("embed_dim", 1), ("depth", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if not (self.init_gain > 0.0 and math.isfinite(self.init_gain)):
             raise ValueError(f"init_gain must be finite and > 0, got {self.init_gain}")
 
@@ -80,11 +81,15 @@ class ItemRecord:
     group: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValueError(f"id must be a string, got {self.id!r}")
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
         arr = np.asarray(self.features, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DimMismatchError(f"features must be (positions, input_dim), got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"item {self.id!r} has non-finite features")
         self.features = arr
 
 
@@ -100,7 +105,7 @@ class EmbeddingBatch:
         if matrix.shape[0] != len(ids):
             raise ValueError(f"{len(ids)} ids but {matrix.shape[0]} rows")
         norms = np.linalg.norm(matrix.values, axis=1)
-        if norms.size and np.abs(norms - 1.0).max() > 1e-10:
+        if not (np.abs(norms - 1.0) <= 1e-10).all():
             bad = int(np.abs(norms - 1.0).argmax())
             raise NonUnitRowError(f"row {bad} has norm {norms[bad]!r}, expected 1 within 1e-10")
         self.ids = ids

@@ -93,22 +93,20 @@ class ContrastiveObjective:
         if self.mode not in ng.NEGATIVE_MODES:
             raise ng.ModeUnknownError(f"mode must be one of {ng.NEGATIVE_MODES}, got {self.mode!r}")
 
-    def mine(self, queries: np.ndarray, candidates: np.ndarray) -> list[list[int]]:
-        """Per-query negative candidate indices, deterministic given values."""
+    def mine(self, queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """The (n_queries, k) negative candidate indices, deterministic given values."""
         rng = np.random.default_rng(self.seed)
         negatives, filtered, dup = ng.select_negatives(
             queries @ candidates.T, self.positives, self.config.k, self.mode, self.config.beta, rng
         )
         self.selection_rates = ng.selection_rates(filtered, dup)
-        return negatives.tolist()
+        return negatives
 
     def loss_between(self, queries: Tensor, candidates: Tensor) -> Tensor:
         from . import infonce as nce  # imported here because infonce imports this module
 
-        negative_lists = self.mine(queries.values, candidates.values)
-        return nce.infonce_batch_loss(
-            queries, candidates, list(self.positives), negative_lists, self.config.tau
-        )
+        negatives = self.mine(queries.values, candidates.values)
+        return nce.infonce_batch_loss(queries, candidates, self.positives, negatives, self.config.tau)
 
     def loss_on(self, emb: EmbeddingBatch) -> Tensor:
         n, total = self.n_queries, len(emb)

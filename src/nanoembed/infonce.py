@@ -12,6 +12,7 @@ cyclically when fewer than k candidates are eligible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +28,7 @@ from .negatives import NEGATIVE_MODES, ModeUnknownError  # re-exported
 
 
 def _unit_rows(values: np.ndarray, label: str) -> None:
-    norms = np.linalg.norm(values, axis=1)
-    if norms.size and np.abs(norms - 1.0).max() > 1e-10:
+    if not (np.abs(np.linalg.norm(values, axis=1) - 1.0) <= 1e-10).all():
         raise NonUnitRowError(f"{label} rows must be unit-norm within 1e-10")
 
 
@@ -67,24 +67,21 @@ def infonce_hard_loss(triple: ContrastiveTriple, tau: float) -> Tensor:
 def infonce_batch_loss(
     queries: Tensor,
     candidates: Tensor,
-    positives: list[int],
-    negatives: list[list[int]],
+    positives: Sequence[int],
+    negatives: np.ndarray | Sequence[Sequence[int]],
     tau: float,
 ) -> Tensor:
     """Mean per-query InfoNCE where rows index queries and columns candidates.
 
-    Row i's logits gather candidate columns [positives[i], *negatives[i]];
-    duplicated negative indices contribute as many denominator terms as they
-    appear, matching per-triple evaluation exactly.
+    Row i's logits gather candidate columns [positives[i], *negatives[i]],
+    negatives being n x k; duplicated negative indices contribute as many
+    denominator terms as they appear, matching per-triple evaluation exactly.
     """
     n = queries.shape[0]
-    if len(positives) != n or len(negatives) != n:
-        raise ValueError(f"{len(positives)} positives / {len(negatives)} negative lists for {n} queries")
-    widths = {len(lst) for lst in negatives}
-    if len(widths) != 1:
-        raise ValueError(f"negative lists must share one length, got {sorted(widths)}")
-    sims = ad.matmul(queries, ad.transpose(candidates))
     cols = np.column_stack((positives, negatives))
+    if cols.shape[0] != n:
+        raise ValueError(f"{cols.shape[0]} rows of positives and negatives for {n} queries")
+    sims = ad.matmul(queries, ad.transpose(candidates))
     logits = ad.scale(ad.gather_columns(sims, cols), 1.0 / ad.check_tau(tau))
     per_query = ad.sub(ad.row_log_sum_exp(logits), ad.gather_columns(logits, [[0]] * n))
     return ad.scale(ad.total_sum(per_query), 1.0 / n)

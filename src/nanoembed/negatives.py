@@ -57,12 +57,9 @@ class MinerConfig:
 class MinedBatch:
     """Per-query mining outcome over a shared candidate pool."""
 
-    positive_indices: list[int]
     filtered: list[set[int]]
     negatives: list[list[int]]
     duplication_counts: list[int]
-    k: int
-    candidate_count: int
 
 
 @dataclass(frozen=True)
@@ -71,12 +68,10 @@ class MinerStats:
 
     false_neg_pct: percent of queries with a nonempty filtered set.
     hard_neg_pct: percent of the candidate pool each query keeps, 100*k/m.
-    duplication_rate: fraction of queries that needed cyclic duplication.
     """
 
     false_neg_pct: float
     hard_neg_pct: float
-    duplication_rate: float
 
 
 def false_negative_threshold(sim_q_pos: float, beta: float) -> float:
@@ -182,7 +177,7 @@ def select_negatives(
     if mode == "random":
         if rng is None:
             raise ValueError("random mode needs a generator")
-        neg = np.empty((n, k), dtype=np.int64)
+        neg = np.empty((n, k), dtype=np.intp)
         for i in range(n):
             neg[i] = rng.permutation(np.flatnonzero(~ineligible[i]))[take[i]]
         return neg, filtered, dup
@@ -214,22 +209,14 @@ def mine_batch(
     """Filter and sample for every query against a shared candidate pool."""
     if queries.dim != candidates.dim:
         raise ValueError(f"query dim {queries.dim} != candidate dim {candidates.dim}")
-    m = len(candidates)
-    positives = [int(p) for p in positives]
     sims = queries.values @ candidates.values.T
     neg, filtered, dup = select_negatives(sims, positives, config.k, "hard", config.beta, None)
-    false_neg_pct, duplication_rate = selection_rates(filtered, dup)
     stats = MinerStats(
-        false_neg_pct=false_neg_pct,
-        hard_neg_pct=config.k * 100.0 / m,
-        duplication_rate=duplication_rate,
+        false_neg_pct=selection_rates(filtered, dup)[0], hard_neg_pct=config.k * 100.0 / len(candidates)
     )
     mined = MinedBatch(
-        positive_indices=positives,
         filtered=[set(np.flatnonzero(row).tolist()) for row in filtered],
         negatives=neg.tolist(),
         duplication_counts=dup.tolist(),
-        k=config.k,
-        candidate_count=m,
     )
     return mined, stats

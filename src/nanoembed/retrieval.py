@@ -1,5 +1,5 @@
 """Exhaustive embedding retrieval: rank every candidate per query by cosine
-similarity and aggregate Precision@k / Recall@k.
+similarity and aggregate Precision@k / Recall@k over a hit matrix.
 
 Scoring is exact (no approximate index); ties break by ascending candidate
 index, matching the negative miner's ordering.  A report keeps its rankings
@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from typing import IO, Mapping, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -51,30 +51,25 @@ def rank_candidates(q_row: np.ndarray, candidates: EmbeddingBatch) -> np.ndarray
     return np.argsort(-(candidates.values @ q), kind="stable")
 
 
-def _check_k(ranked: Mapping[str, Sequence[str]], k: int) -> None:
+def _hit_counts(hits: np.ndarray, k: int) -> np.ndarray:
+    """Relevant items among each query's top k; hits[i, r] marks rank r of query i."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    shortest = min(len(ids) for ids in ranked.values())
-    if k > shortest:
-        raise KExceedsCandidatesError(f"k={k} exceeds shortest ranked list ({shortest})")
+    if hits.shape[0] == 0:
+        raise ValueError("no ranked queries")
+    if k > hits.shape[1]:
+        raise KExceedsCandidatesError(f"k={k} exceeds the ranked list ({hits.shape[1]})")
+    return np.count_nonzero(hits[:, :k], axis=1)
 
 
-def precision_at_k(ranked: Mapping[str, Sequence[str]], relevance: Mapping[str, set[str]], k: int) -> float:
+def precision_at_k(hits: np.ndarray, k: int) -> float:
     """Mean over queries of |top-k hits| / k."""
-    if not ranked:
-        raise ValueError("no ranked queries")
-    _check_k(ranked, k)
-    hits = [len(set(ids[:k]) & relevance[q]) / k for q, ids in ranked.items()]
-    return float(np.mean(hits))
+    return float(np.mean(_hit_counts(hits, k) / k))
 
 
-def recall_at_k(ranked: Mapping[str, Sequence[str]], relevance: Mapping[str, set[str]], k: int) -> float:
-    """Mean over queries of |top-k hits| / |relevant|."""
-    if not ranked:
-        raise ValueError("no ranked queries")
-    _check_k(ranked, k)
-    hits = [len(set(ids[:k]) & relevance[q]) / len(relevance[q]) for q, ids in ranked.items()]
-    return float(np.mean(hits))
+def recall_at_k(hits: np.ndarray, k: int) -> float:
+    """Mean over queries of |top-k hits|, each query having one relevant item."""
+    return float(np.mean(_hit_counts(hits, k)))
 
 
 def _nested_json(payload) -> str:
@@ -133,9 +128,7 @@ def evaluate_checkpoint(encoder: Encoder, corpus: Corpus, ks: Sequence[int] = (1
     for i, row in enumerate(queries.values):
         order[i] = rank_candidates(row, candidates)
     # The metrics read no further down a ranking than the largest cutoff.
-    depth = max(ks, default=0)
-    top = {qid: [candidates.ids[j] for j in row] for qid, row in zip(queries.ids, order[:, :depth].tolist())}
-    relevance = {pair.query.id: {pair.positive_id} for pair in corpus.pairs}
-    precision = {int(k): precision_at_k(top, relevance, k) for k in ks}
-    recall = {int(k): recall_at_k(top, relevance, k) for k in ks}
+    hits = order[:, : max(ks, default=0)] == np.array(corpus.positive_indices())[:, None]
+    precision = {int(k): precision_at_k(hits, k) for k in ks}
+    recall = {int(k): recall_at_k(hits, k) for k in ks}
     return RetrievalReport(queries.ids, candidates.ids, order, precision, recall)

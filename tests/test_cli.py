@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nanoembed import corpus as cp
 from nanoembed import gradcache as gc
 from nanoembed import infonce as nce
 from nanoembed import negatives as ng
@@ -483,6 +484,8 @@ DAMAGED_CHECKPOINTS = {
     "seed_fraction": lambda good: with_config(good, seed=7.5),
     "seed_negative": lambda good: with_config(good, seed=-1),
     "hidden_dim_mismatch": lambda good: with_config(good, hidden_dim=17),
+    "depth_bool": lambda good: with_config(good, depth=True),
+    "seed_bool": lambda good: with_config(good, seed=True),
 }
 
 
@@ -511,6 +514,37 @@ class TestDamagedCheckpoint:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "trace.jsonl").exists()
         assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
+
+def damage_corpus_line(line: str, damage: str) -> str:
+    record = json.loads(line)
+    target = record["query"] if record["kind"] == "pair" else record
+    if damage == "id_int":
+        target["id"] = 100
+    else:
+        target["features"][0][0] = float("nan")
+    return json.dumps(record)
+
+
+class TestDamagedCorpus:
+    @pytest.mark.parametrize("kind", ["item", "pair"])
+    @pytest.mark.parametrize("damage", ["id_int", "feature_nan"])
+    def test_eval_reports_line_and_exits_2(self, tmp_path, capsys, kind, damage):
+        corpus = tmp_path / "corpus.jsonl"
+        cp.write_corpus(corpus, cp.generate(cp.CorpusSpec(**CORPUS)))
+        lines = corpus.read_text().splitlines()
+        bad = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+        lines[bad] = damage_corpus_line(lines[bad], damage)
+        corpus.write_text("\n".join(lines) + "\n")
+        config = write_config(
+            tmp_path, corpus={"path": str(corpus)}, encoder={"input_dim": 8, "hidden_dim": 16, "embed_dim": 8}
+        )
+        capsys.readouterr()
+        assert run("eval", "--config", config, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"line {bad + 1}: bad item record" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestAblate:

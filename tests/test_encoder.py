@@ -39,6 +39,15 @@ class TestItemRecord:
         with pytest.raises(enc.DimMismatchError):
             enc.ItemRecord("a", "text", np.zeros(3))
 
+    def test_rejects_non_string_id(self):
+        with pytest.raises(ValueError, match="id must be a string"):
+            enc.ItemRecord(100, "text", np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_features(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            enc.ItemRecord("a", "text", np.array([[0.0, value, 1.0]]))
+
 
 class TestEmbeddingBatch:
     def test_rejects_duplicate_ids(self):
@@ -49,6 +58,10 @@ class TestEmbeddingBatch:
     def test_rejects_non_unit_rows(self):
         with pytest.raises(enc.NonUnitRowError):
             enc.EmbeddingBatch(["a"], ad.constant([[0.5, 0.5]]))
+
+    def test_rejects_nan_row(self):
+        with pytest.raises(enc.NonUnitRowError, match="row 1 has norm"):
+            enc.EmbeddingBatch(["a", "b"], ad.constant([[1.0, 0.0], [np.nan, 0.0]]))
 
 
 class TestEncoderForward:
@@ -160,6 +173,14 @@ class TestEncoderGradcheck:
 def test_non_finite_scales_rejected(build, value):
     with pytest.raises(ValueError, match="finite"):
         build(value)
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2"])
+@pytest.mark.parametrize("name", ["input_dim", "hidden_dim", "embed_dim", "depth", "seed"])
+def test_integer_config_fields_reject_other_types(name, value):
+    sizes = {"input_dim": 6, "hidden_dim": 6, "embed_dim": 4, "depth": 2, "seed": 3}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        enc.EncoderConfig(**{**sizes, name: value})
 
 
 class TestTeacher:

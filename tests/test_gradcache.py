@@ -137,9 +137,9 @@ class TestGradientEquality:
         )
         n = objective.n_queries
         cached_values = stats.embedding_values
-        assert objective.mine(cached_values[:n], cached_values[n:]) == objective.mine(
-            naive_emb.values[:n], naive_emb.values[n:]
-        )
+        mined = objective.mine(cached_values[:n], cached_values[n:])
+        assert mined.shape == (n, objective.config.k) and mined.dtype == np.intp
+        assert np.array_equal(mined, objective.mine(naive_emb.values[:n], naive_emb.values[n:]))
 
     def test_planted_corpus_with_filtering_still_matches(self):
         corpus, encoder = make_setup(4, rate=0.25)

@@ -55,6 +55,13 @@ class TestTriple:
             triple_from(q, q, np.zeros((0, 4)))
         assert triple_from(q, q, negs).k == 3
 
+    def test_nan_row_is_not_unit_norm(self):
+        q = unit_rows(0, 1, 4)
+        negs = unit_rows(1, 3, 4)
+        negs[1, 0] = np.nan
+        with pytest.raises(enc.NonUnitRowError, match="negative"):
+            triple_from(q, q, negs)
+
 
 class TestHardLoss:
     def test_equal_similarities_give_ln_k_plus_one(self):

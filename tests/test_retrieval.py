@@ -93,58 +93,84 @@ class TestRankCandidates:
         assert order.tolist() == rt.rank_scores(candidates.values @ q)
 
 
+def hit_matrix(orders, positives):
+    """hits[i, r]: the candidate at rank r of query i is its positive."""
+    return np.asarray(orders) == np.asarray(positives)[:, None]
+
+
 class TestMetrics:
+    """precision_at_k and recall_at_k read a query-by-rank hit matrix."""
+
     def test_precision_hand_count(self):
-        ranked = {"q0": ["a", "b"], "q1": ["c", "a"], "q2": ["b", "c"]}
-        relevance = {"q0": {"a"}, "q1": {"c"}, "q2": {"c"}}
-        assert rt.precision_at_k(ranked, relevance, 1) == pytest.approx(2 / 3)
+        hits = np.array([[True, False], [True, False], [False, True]])
+        assert rt.precision_at_k(hits, 1) == pytest.approx(2 / 3)
+        assert rt.precision_at_k(hits, 2) == 0.5
+        assert rt.recall_at_k(hits, 2) == 1.0
 
     def test_perfect_retrieval(self):
-        ranked = {f"q{i}": [f"c{i}", "x"] for i in range(5)}
-        relevance = {f"q{i}": {f"c{i}"} for i in range(5)}
-        assert rt.precision_at_k(ranked, relevance, 1) == 1.0
-        assert rt.recall_at_k(ranked, relevance, 1) == 1.0
+        hits = hit_matrix([[i, 5] for i in range(5)], range(5))
+        assert rt.precision_at_k(hits, 1) == 1.0
+        assert rt.recall_at_k(hits, 1) == 1.0
 
     def test_matches_counting_oracle_at_k5(self):
         rng = np.random.default_rng(19)
-        ids = [f"c{j}" for j in range(30)]
-        ranked = {}
-        relevance = {}
-        for i in range(40):
-            order = list(rng.permutation(30))
-            ranked[f"q{i}"] = [ids[j] for j in order]
-            relevance[f"q{i}"] = {ids[j] for j in rng.choice(30, size=4, replace=False)}
-        p_hits = [len(set(ranked[q][:5]) & relevance[q]) / 5 for q in ranked]
-        r_hits = [len(set(ranked[q][:5]) & relevance[q]) / len(relevance[q]) for q in ranked]
-        assert rt.precision_at_k(ranked, relevance, 5) == pytest.approx(np.mean(p_hits), rel=1e-12)
-        assert rt.recall_at_k(ranked, relevance, 5) == pytest.approx(np.mean(r_hits), rel=1e-12)
+        orders = np.array([rng.permutation(30) for _ in range(40)])
+        positives = rng.integers(0, 30, size=40)
+        found = [int(pos in row[:5]) for row, pos in zip(orders.tolist(), positives.tolist())]
+        hits = hit_matrix(orders, positives)
+        assert rt.precision_at_k(hits, 5) == np.mean([f / 5 for f in found])
+        assert rt.recall_at_k(hits, 5) == np.mean([f / 1 for f in found])
 
     def test_singleton_relevance_makes_p1_equal_r1(self):
         rng = np.random.default_rng(23)
-        ids = [f"c{j}" for j in range(12)]
-        ranked = {f"q{i}": [ids[j] for j in rng.permutation(12)] for i in range(25)}
-        relevance = {q: {ids[int(rng.integers(12))]} for q in ranked}
-        assert rt.precision_at_k(ranked, relevance, 1) == rt.recall_at_k(ranked, relevance, 1)
+        hits = hit_matrix([rng.permutation(12) for _ in range(25)], rng.integers(0, 12, size=25))
+        assert rt.precision_at_k(hits, 1) == rt.recall_at_k(hits, 1)
 
     def test_invariant_under_query_permutation(self):
         rng = np.random.default_rng(29)
-        ids = [f"c{j}" for j in range(10)]
-        ranked = {f"q{i}": [ids[j] for j in rng.permutation(10)] for i in range(8)}
-        relevance = {q: {ids[int(rng.integers(10))]} for q in ranked}
-        shuffled = dict(reversed(list(ranked.items())))
-        assert rt.precision_at_k(ranked, relevance, 3) == rt.precision_at_k(shuffled, relevance, 3)
+        hits = hit_matrix([rng.permutation(10) for _ in range(8)], rng.integers(0, 10, size=8))
+        shuffled = hits[rng.permutation(8)]
+        for k in (1, 3, 10):
+            assert rt.precision_at_k(hits, k) == rt.precision_at_k(shuffled, k)
+            assert rt.recall_at_k(hits, k) == rt.recall_at_k(shuffled, k)
 
     def test_k_beyond_candidates_rejected(self):
-        ranked = {"q0": ["a", "b"]}
-        relevance = {"q0": {"a"}}
+        hits = np.array([[True, False]])
         with pytest.raises(rt.KExceedsCandidatesError):
-            rt.precision_at_k(ranked, relevance, 3)
+            rt.precision_at_k(hits, 3)
+        with pytest.raises(rt.KExceedsCandidatesError):
+            rt.recall_at_k(hits, 3)
 
     def test_bad_k_and_empty_rejected(self):
         with pytest.raises(ValueError):
-            rt.precision_at_k({"q": ["a"]}, {"q": {"a"}}, 0)
+            rt.precision_at_k(np.array([[True]]), 0)
         with pytest.raises(ValueError):
-            rt.precision_at_k({}, {}, 1)
+            rt.recall_at_k(np.zeros((0, 3), dtype=bool), 1)
+
+
+def set_intersection_metrics(report, corpus, k):
+    """Precision and recall@k as per-query set intersections of ranked ids."""
+    relevance = {pair.query.id: {pair.positive_id} for pair in corpus.pairs}
+    found = {q: len(set(ids[:k]) & relevance[q]) for q, ids in report.ranked.items()}
+    precision = float(np.mean([n / k for n in found.values()]))
+    recall = float(np.mean([n / len(relevance[q]) for q, n in found.items()]))
+    return precision, recall
+
+
+class TestMetricsOracle:
+    @pytest.mark.parametrize("seed", [59, 61, 67])
+    def test_equals_set_intersection_on_tied_scores(self, seed):
+        # Items share three feature sequences, so their scores tie in blocks.
+        rng = np.random.default_rng(seed)
+        pool = rng.normal(size=(3, 2, 4))
+        items = [item(f"c{j}", pool[rng.integers(3)]) for j in range(12)]
+        pairs = [cp.PairRecord(item(f"q{i}", pool[rng.integers(3)]), f"c{rng.integers(12)}") for i in range(30)]
+        corpus = cp.Corpus(items, pairs)
+        m = len(items)
+        report = rt.evaluate_checkpoint(enc.Encoder(enc.EncoderConfig(4, 8, 4, seed=seed)), corpus, ks=(1, 5, m))
+        for k in (1, 5, m):
+            assert (report.precision_at[k], report.recall_at[k]) == set_intersection_metrics(report, corpus, k)
+        assert report.recall_at[m] == 1.0
 
 
 class TestRetrievalTask:
