@@ -2,12 +2,14 @@
 
 Every tensor is a 2-D array. Operations build an acyclic graph of
 ``Tensor`` nodes; :func:`backward` walks the graph in reverse topological
-order and accumulates an adjoint into every node that requires one. The
+order, passing each node's adjoint on to its parents. Only leaves that
+require gradients (parameters, and explicit ``requires_grad=True`` inputs)
+keep theirs in ``Tensor.grad``; interior nodes never hold one. The
 primitive set is deliberately small: just enough to express normalized
 embeddings, temperature-scaled similarity distributions, and log-space
 contrastive losses.
 
-Gradients are accumulators. ``backward`` adds into ``Tensor.grad`` and
+Gradients are accumulators. ``backward`` adds into a leaf's ``grad`` and
 never resets it; callers zero gradients explicitly between steps.
 """
 
@@ -77,7 +79,8 @@ class Tensor:
     """A (rows, cols) float64 array, optionally part of the gradient graph.
 
     The shape is fixed at construction. 1-D input is promoted to a single
-    row. ``grad`` stays ``None`` until a backward pass deposits an adjoint.
+    row. ``grad`` stays ``None`` until a backward pass deposits an adjoint,
+    which it does on leaves only.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_vjp", "_size")
@@ -156,18 +159,16 @@ def _from_op(values: np.ndarray, parents: tuple[Tensor, ...], vjp: Vjp) -> Tenso
     return Tensor(values)
 
 
-def _binary_shapes(a: Tensor, b: Tensor, op: str) -> bool:
-    """True when b is a broadcast row vector; raises on any other mismatch."""
-    if a.shape == b.shape:
-        return False
-    if b.shape == (1, a.shape[1]):
-        return True
-    raise ValueError(f"{op}: shapes {a.shape} and {b.shape} are incompatible")
+def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"{op}: shapes {a.shape} and {b.shape} are incompatible")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; the second operand may be a 1 x cols row vector."""
-    row = _binary_shapes(a, b, "add")
+    row = a.shape != b.shape and b.shape == (1, a.shape[1])
+    if not row:
+        _same_shape(a, b, "add")
 
     def vjp(g):
         return (g, g.sum(axis=0, keepdims=True) if row else g)
@@ -176,23 +177,22 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise difference; the second operand may be a row vector."""
-    row = _binary_shapes(a, b, "sub")
+    """Elementwise difference of two same-shape tensors."""
+    _same_shape(a, b, "sub")
 
     def vjp(g):
-        return (g, -g.sum(axis=0, keepdims=True) if row else -g)
+        return (g, -g)
 
     return _from_op(a.values - b.values, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; the second operand may be a row vector."""
-    row = _binary_shapes(a, b, "mul")
+    """Elementwise product of two same-shape tensors."""
+    _same_shape(a, b, "mul")
     a_values, b_values = a.values, b.values
 
     def vjp(g):
-        gb = g * a_values
-        return (g * b_values, gb.sum(axis=0, keepdims=True) if row else gb)
+        return (g * b_values, g * a_values)
 
     return _from_op(a_values * b_values, (a, b), vjp)
 
@@ -421,10 +421,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into every graph node requiring gradients.
+    """Accumulate d(loss)/d(leaf) into every leaf requiring gradients.
 
-    Each call deposits exactly one adjoint per node; repeated calls without
-    an explicit reset are additive.
+    A leaf is a node without a vjp. Each call deposits exactly one adjoint
+    per leaf, and repeated calls without an explicit reset are additive.
+    Interior nodes and a constant loss get no ``grad``.
     """
     if loss.shape != (1, 1):
         raise NonScalarLossError(f"loss must be 1x1, got shape {loss.shape}")
@@ -432,11 +433,10 @@ def backward(loss: Tensor) -> None:
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     for node in reversed(order):
         g = adjoint.pop(id(node), None)
-        if g is None:
+        if g is None or not node.requires_grad:
             continue
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
         if node._vjp is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:

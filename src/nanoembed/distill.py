@@ -48,11 +48,6 @@ def _self_similarities(matrix: Tensor) -> Tensor:
     return ad.matmul(matrix, ad.transpose(matrix))
 
 
-def similarity_distribution(e: EmbeddingBatch, tau: float) -> Tensor:
-    """Row-stochastic n x n matrix: row i is sample i's softmax over the batch."""
-    return ad.softmax_rows(_self_similarities(e.matrix), tau)
-
-
 def kl_distillation_loss(e_s: EmbeddingBatch, e_t: EmbeddingBatch, tau: float) -> Tensor:
     """Sum over rows of KL(student distribution || teacher distribution).
 

@@ -67,8 +67,10 @@ class EncoderConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        if not (self.init_gain > 0.0 and math.isfinite(self.init_gain)):
-            raise ValueError(f"init_gain must be finite and > 0, got {self.init_gain}")
+        gain = self.init_gain
+        number = isinstance(gain, (int, float)) and not isinstance(gain, bool)
+        if not (number and gain > 0.0 and math.isfinite(gain)):
+            raise ValueError(f"init_gain must be a finite number > 0, got {gain!r}")
 
 
 @dataclass
@@ -85,6 +87,8 @@ class ItemRecord:
             raise ValueError(f"id must be a string, got {self.id!r}")
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
+        if self.group is not None and not isinstance(self.group, str):
+            raise ValueError(f"group must be a string or null, got {self.group!r}")
         arr = np.asarray(self.features, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DimMismatchError(f"features must be (positions, input_dim), got shape {arr.shape}")
@@ -246,28 +250,29 @@ def fuse_multimodal(e_a: np.ndarray, e_b: np.ndarray) -> np.ndarray:
 def embed_items(encoder: Encoder, items: Sequence[ItemRecord]) -> EmbeddingBatch:
     """Gradient-free embedding of mixed-modality items.
 
-    Fused items split their position sequence in half; each half is encoded
-    on its own and the two embeddings are combined with fuse_multimodal.
+    Fused items split their position sequence in half; the halves of every
+    fused item are encoded in one batch of their own, apart from the plain
+    items, and each pair is combined with fuse_multimodal.
     """
     items = list(items)
     if not items:
         raise EmptyBatchError("cannot embed an empty batch")
     plain = [it for it in items if it.modality != "fused"]
+    fused = [it for it in items if it.modality == "fused"]
     rows: dict[str, np.ndarray] = {}
     if plain:
-        batch = encoder.encode(plain, record=False)
-        for i, it in enumerate(plain):
-            rows[it.id] = batch.values[i]
-    for it in items:
-        if it.modality != "fused":
-            continue
+        rows.update(zip([it.id for it in plain], encoder.encode(plain, record=False).values))
+    halves = []
+    for it in fused:
         if it.features.shape[0] < 2:
             raise DimMismatchError(f"fused item {it.id!r} needs at least 2 positions")
         half = it.features.shape[0] // 2
-        part_a = ItemRecord(f"{it.id}/a", "text", it.features[:half], it.group)
-        part_b = ItemRecord(f"{it.id}/b", "image", it.features[half:], it.group)
-        pair = encoder.encode([part_a, part_b], record=False)
-        rows[it.id] = fuse_multimodal(pair.values[0], pair.values[1])
+        halves.append(ItemRecord(f"{it.id}/a", "text", it.features[:half], it.group))
+        halves.append(ItemRecord(f"{it.id}/b", "image", it.features[half:], it.group))
+    if halves:
+        pairs = encoder.encode(halves, record=False).values
+        for i, it in enumerate(fused):
+            rows[it.id] = fuse_multimodal(pairs[2 * i], pairs[2 * i + 1])
     return EmbeddingBatch([it.id for it in items], ad.constant(np.stack([rows[it.id] for it in items])))
 
 

@@ -85,17 +85,3 @@ def read_trace(path: str | Path) -> list[StepMetrics]:
             except ValueError as exc:
                 raise MalformedMetricsError(line_number, str(exc)) from exc
     return records
-
-
-def moving_average(values: list[float], window: int) -> list[float]:
-    """Trailing mean over up to `window` latest values at each position."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    out = []
-    running = 0.0
-    for i, v in enumerate(values):
-        running += v
-        if i >= window:
-            running -= values[i - window]
-        out.append(running / min(i + 1, window))
-    return out

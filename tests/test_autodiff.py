@@ -167,6 +167,14 @@ class TestForwardValues:
         with pytest.raises(ValueError):
             ad.matmul(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 3))))
 
+    def test_only_add_broadcasts_a_row_vector(self):
+        a = ad.constant(np.arange(6.0).reshape(2, 3))
+        row = ad.constant([[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(ad.add(a, row).values, a.values + row.values)
+        for op in (ad.sub, ad.mul):
+            with pytest.raises(ValueError):
+                op(a, row)
+
     def test_evaluation_is_deterministic(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(6, 6))
@@ -191,10 +199,20 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         t = ad.Tensor([[1.0, 2.0]], requires_grad=True)
-        loss = ad.total_sum(ad.mul(t, t))
+        y = ad.mul(t, t)
+        loss = ad.total_sum(y)
         ad.backward(loss)
         ad.backward(loss)
         np.testing.assert_allclose(t.grad, [[4.0, 8.0]], rtol=0, atol=1e-15)
+        assert y.grad is None and loss.grad is None
+
+    def test_constant_root_gets_no_grad(self):
+        loss = ad.total_sum(ad.constant([[1.0, 2.0]]))
+        ad.backward(loss)
+        assert loss.grad is None
+        root = ad.constant([[3.0]])
+        ad.backward(root)
+        assert root.grad is None
 
     def test_non_scalar_loss_rejected(self):
         t = ad.Tensor([[1.0, 2.0]], requires_grad=True)
@@ -213,6 +231,7 @@ class TestBackward:
         loss = ad.total_sum(ad.add(y, y))
         ad.backward(loss)
         np.testing.assert_allclose(t.grad, [[4.0, 8.0]], rtol=0, atol=1e-15)
+        assert y.grad is None and loss.grad is None
 
 
 class TestPrimitiveGradients:

@@ -486,6 +486,7 @@ DAMAGED_CHECKPOINTS = {
     "hidden_dim_mismatch": lambda good: with_config(good, hidden_dim=17),
     "depth_bool": lambda good: with_config(good, depth=True),
     "seed_bool": lambda good: with_config(good, seed=True),
+    "init_gain_bool": lambda good: with_config(good, init_gain=True),
 }
 
 
@@ -501,6 +502,15 @@ class TestDamagedCheckpoint:
         assert err.startswith("error: ") and "bad.bin" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("field", ["depth", "seed", "init_gain"])
+    def test_bool_config_field_is_named(self, tmp_path, capsys, field):
+        config, checkpoint = make_stage1_checkpoint(tmp_path)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(DAMAGED_CHECKPOINTS[f"{field}_bool"](checkpoint.read_bytes()))
+        capsys.readouterr()
+        assert run("eval", "--config", config, "--checkpoint", bad, "--out", tmp_path / "out") == 2
+        assert f"bad encoder config: {field} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["inf_weight", "nan_weight"])
     def test_stage2_reports_error_and_exits_2(self, tmp_path, capsys, damage):
@@ -521,6 +531,10 @@ def damage_corpus_line(line: str, damage: str) -> str:
     target = record["query"] if record["kind"] == "pair" else record
     if damage == "id_int":
         target["id"] = 100
+    elif damage == "group_int":
+        target["group"] = 5
+    elif damage == "group_list":
+        target["group"] = [1, 2]
     else:
         target["features"][0][0] = float("nan")
     return json.dumps(record)
@@ -528,7 +542,7 @@ def damage_corpus_line(line: str, damage: str) -> str:
 
 class TestDamagedCorpus:
     @pytest.mark.parametrize("kind", ["item", "pair"])
-    @pytest.mark.parametrize("damage", ["id_int", "feature_nan"])
+    @pytest.mark.parametrize("damage", ["id_int", "feature_nan", "group_int", "group_list"])
     def test_eval_reports_line_and_exits_2(self, tmp_path, capsys, kind, damage):
         corpus = tmp_path / "corpus.jsonl"
         cp.write_corpus(corpus, cp.generate(cp.CorpusSpec(**CORPUS)))

@@ -14,9 +14,6 @@ from nanoembed import distill as ds
 from nanoembed import encoder as enc
 from nanoembed import optim
 
-# softmax weights for two orthogonal unit rows at tau=1: [e/(e+1), 1/(e+1)]
-ORTHO_SELF = 0.7310585786300048792511592
-ORTHO_CROSS = 0.2689414213699951207488408
 # forward KL between seeded 3x4 unit batches (see unit_rows(2024) below)
 KL_3X4_TAU_HALF = 1.874404305638839306407586
 KL_3X4_TAU_005 = 2.886465083770724643656935
@@ -49,30 +46,6 @@ def mp_kl(student, teacher, tau):
 
     ps, pt = dist_rows(student), dist_rows(teacher)
     return mp.fsum(ps[i][j] * mp.log(ps[i][j] / pt[i][j]) for i in range(n) for j in range(n))
-
-
-class TestSimilarityDistribution:
-    def test_identical_rows_give_uniform(self):
-        row = unit_rows(0, 1, 4)
-        pair = batch(np.vstack([row, row]))
-        for tau in (0.05, 1.0, 3.0):
-            dist = ds.similarity_distribution(pair, tau)
-            np.testing.assert_array_equal(dist.values, [[0.5, 0.5], [0.5, 0.5]])
-
-    def test_orthogonal_rows_tau_one(self):
-        pair = batch(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        dist = ds.similarity_distribution(pair, 1.0)
-        expected = [[ORTHO_SELF, ORTHO_CROSS], [ORTHO_CROSS, ORTHO_SELF]]
-        np.testing.assert_allclose(dist.values, expected, rtol=1e-14)
-
-    def test_rows_sum_to_one(self):
-        dist = ds.similarity_distribution(batch(unit_rows(1, 7, 5)), 0.05)
-        np.testing.assert_allclose(dist.values.sum(axis=1), np.ones(7), atol=1e-10)
-
-    def test_bad_inputs(self):
-        e = batch(unit_rows(3, 2, 3))
-        with pytest.raises(ad.NonPositiveTemperatureError):
-            ds.similarity_distribution(e, 0.0)
 
 
 class TestKlLoss:
@@ -212,10 +185,8 @@ class TestStage1Train:
             steps=500,
             seed=6,
         )
-        from nanoembed.metrics import moving_average
-
-        smooth = moving_average([r.loss for r in trace], 50)
-        assert smooth[-1] < smooth[49]
+        losses = [r.loss for r in trace]
+        assert np.mean(losses[-50:]) < np.mean(losses[:50])
         assert trace[-1].loss < trace[0].loss
 
     def test_image_only_corpus_has_no_text_pool(self):

@@ -146,6 +146,7 @@ class TestEncoderForward:
         ad.backward(ad.total_sum(ad.mul(out.matrix, out.matrix)))
         grads = [p.grad for p in model.parameters()]
         assert all(g is not None for g in grads)
+        assert out.matrix.grad is None  # interior node: only leaves keep gradients
         # bias of the last layer and all weights see nonzero signal
         assert any(np.abs(g).max() > 0 for g in grads)
 
@@ -173,6 +174,16 @@ class TestEncoderGradcheck:
 def test_non_finite_scales_rejected(build, value):
     with pytest.raises(ValueError, match="finite"):
         build(value)
+
+
+@pytest.mark.parametrize("value", [True, "2"])
+def test_init_gain_rejects_bool_and_text(value):
+    with pytest.raises(ValueError, match="init_gain must be a finite number"):
+        enc.EncoderConfig(input_dim=6, hidden_dim=6, embed_dim=4, init_gain=value)
+
+
+def test_integer_init_gain_stays_legal():
+    assert enc.EncoderConfig(input_dim=6, hidden_dim=6, embed_dim=4, init_gain=2).init_gain == 2
 
 
 @pytest.mark.parametrize("value", [True, 2.0, "2"])
@@ -299,6 +310,30 @@ class TestEmbedItems:
         plain = model.encode([items[0], items[2]], record=False).values
         np.testing.assert_array_equal(batch.values[0], plain[0])
         np.testing.assert_array_equal(batch.values[2], plain[1])
+
+    def test_fused_corpus_takes_two_encode_calls(self, monkeypatch):
+        model = enc.Encoder(CFG)
+        rng = np.random.default_rng(8)
+        plain = make_items(rng, 5, CFG.input_dim, prefix="t")
+        fused = make_items(rng, 4, CFG.input_dim, seq_lens=[2, 3, 4, 5], modality="fused", prefix="f")
+        items = [it for pair in zip(plain, fused) for it in pair] + plain[4:]
+        calls = []
+        encode = enc.Encoder.encode
+
+        def counting(self, batch, record=True):
+            calls.append(len(batch))
+            return encode(self, batch, record)
+
+        monkeypatch.setattr(enc.Encoder, "encode", counting)
+        batch = enc.embed_items(model, items)
+        assert calls == [5, 8]
+        assert batch.ids == [it.id for it in items]
+        for it, row in zip(items, batch.values):
+            if it.modality == "fused":
+                half = it.features.shape[0] // 2
+                e_a = encode(model, [enc.ItemRecord("x", "text", it.features[:half])], False).values[0]
+                e_b = encode(model, [enc.ItemRecord("y", "image", it.features[half:])], False).values[0]
+                np.testing.assert_allclose(row, enc.fuse_multimodal(e_a, e_b), rtol=0, atol=1e-12)
 
     def test_single_position_fused_item_rejected(self):
         model = enc.Encoder(CFG)

@@ -1,6 +1,5 @@
 """Tests for the per-step metrics records and trace files."""
 
-import numpy as np
 import pytest
 
 from nanoembed import metrics as mt
@@ -72,23 +71,3 @@ class TestTraceFiles:
         path = tmp_path / "trace.jsonl"
         path.write_text('\n{"step": 0, "loss": 1.0, "grad_norm": 0.0, "false_neg_pct": 0.0, "duplication_rate": 0.0}\n\n')
         assert len(mt.read_trace(path)) == 1
-
-
-class TestMovingAverage:
-    def test_hand_checked(self):
-        values = [4.0, 2.0, 6.0, 0.0]
-        assert mt.moving_average(values, 2) == [4.0, 3.0, 4.0, 3.0]
-
-    def test_window_one_is_identity(self):
-        values = [1.5, -2.0, 7.0]
-        assert mt.moving_average(values, 1) == values
-
-    def test_wide_window_is_cumulative_mean(self):
-        rng = np.random.default_rng(0)
-        values = list(rng.normal(size=20))
-        expected = [float(np.mean(values[: i + 1])) for i in range(20)]
-        np.testing.assert_allclose(mt.moving_average(values, 100), expected, rtol=1e-12)
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            mt.moving_average([1.0], 0)

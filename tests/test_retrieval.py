@@ -221,6 +221,22 @@ class TestEvaluateCheckpoint:
             assert sorted(ids) == item_ids
 
 
+def test_plain_item_named_like_a_fused_half_is_kept_apart():
+    rng = np.random.default_rng(9)
+    items = [
+        cp.ItemRecord("f/a", "text", rng.normal(size=(2, 6))),
+        cp.ItemRecord("f", "fused", rng.normal(size=(4, 6))),
+    ]
+    query = cp.ItemRecord("q", "text", items[1].features[:2])
+    corpus = cp.Corpus(items, [cp.PairRecord(query, "f")])
+    encoder = enc.Encoder(enc.EncoderConfig(6, 8, 4, seed=2))
+    report = rt.evaluate_checkpoint(encoder, corpus, ks=(1,))
+    assert sorted(report.ranked["q"]) == ["f", "f/a"]
+    candidates = enc.embed_items(encoder, items)
+    alone = enc.embed_items(encoder, [items[0]])
+    np.testing.assert_array_equal(candidates.values[0], alone.values[0])
+
+
 def item(item_id, features, group=None):
     return cp.ItemRecord(item_id, "text", np.asarray(features, dtype=np.float64), group)
 
