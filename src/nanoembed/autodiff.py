@@ -25,22 +25,6 @@ Vjp = Callable[[np.ndarray], tuple]
 _NORM_FLOOR = 1e-12
 
 
-class ZeroRowError(ValueError):
-    """A row with near-zero norm cannot be L2-normalized."""
-
-
-class NonPositiveTemperatureError(ValueError):
-    """Softmax-family temperature must be strictly positive."""
-
-
-class NonScalarLossError(ValueError):
-    """backward() requires a 1x1 loss tensor."""
-
-
-class NonDeterministicLossError(RuntimeError):
-    """A loss function returned different values on identical parameters."""
-
-
 # Live-allocation accounting. The gradient-cache tests use this to show
 # that sub-batched backprop keeps fewer activation elements alive than a
 # full-batch graph.
@@ -116,7 +100,7 @@ class Tensor:
 
     def item(self) -> float:
         if self.values.shape != (1, 1):
-            raise NonScalarLossError(f"item() needs a 1x1 tensor, got {self.shape}")
+            raise ValueError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.values[0, 0])
 
     def __repr__(self) -> str:
@@ -275,12 +259,12 @@ def total_sum(a: Tensor) -> Tensor:
 def row_l2_normalize(a: Tensor) -> Tensor:
     """Scale each row to unit L2 norm.
 
-    Raises ZeroRowError if any row norm falls below 1e-12.
+    Raises ValueError if any row norm falls below 1e-12.
     """
     norms = np.sqrt((a.values * a.values).sum(axis=1, keepdims=True))
     if np.any(norms < _NORM_FLOOR):
         bad = int(np.argmax(norms < _NORM_FLOOR))
-        raise ZeroRowError(f"row {bad} has norm below {_NORM_FLOOR}")
+        raise ValueError(f"row {bad} has norm below {_NORM_FLOOR}")
     out_values = a.values / norms
 
     def vjp(g):
@@ -291,10 +275,10 @@ def row_l2_normalize(a: Tensor) -> Tensor:
 
 
 def check_tau(tau: float) -> float:
-    """tau as a float; raises NonPositiveTemperatureError unless it is > 0."""
+    """tau as a float; raises ValueError unless it is finite and > 0."""
     tau = float(tau)
-    if not tau > 0.0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0, got {tau}")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {tau}")
     return tau
 
 
@@ -428,7 +412,7 @@ def backward(loss: Tensor) -> None:
     Interior nodes and a constant loss get no ``grad``.
     """
     if loss.shape != (1, 1):
-        raise NonScalarLossError(f"loss must be 1x1, got shape {loss.shape}")
+        raise ValueError(f"loss must be 1x1, got shape {loss.shape}")
     order = _topo_order(loss)
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     for node in reversed(order):
@@ -470,16 +454,16 @@ def finite_difference_check(
 
     ``loss_fn`` must rebuild the loss graph from the current parameter
     values on every call and be deterministic; two evaluations that
-    disagree bit-for-bit raise NonDeterministicLossError. The relative
+    disagree bit-for-bit raise RuntimeError. The relative
     error for one element is |ga - gf| / (|ga| + |gf| + 1e-12).
     """
     step = float(step)
     first = loss_fn()
     if first.shape != (1, 1):
-        raise NonScalarLossError(f"loss must be 1x1, got shape {first.shape}")
+        raise ValueError(f"loss must be 1x1, got shape {first.shape}")
     second = loss_fn()
     if not np.array_equal(first.values, second.values):
-        raise NonDeterministicLossError("loss_fn returned different values on identical parameters")
+        raise RuntimeError("loss_fn returned different values on identical parameters")
 
     for p in params:
         p.zero_grad()

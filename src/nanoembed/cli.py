@@ -52,10 +52,6 @@ _SECTIONS = (
 )
 
 
-class ConfigError(ValueError):
-    """Raised when the run configuration is missing, malformed, or inconsistent."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a command needs, resolved and validated at load time.
@@ -88,7 +84,7 @@ class RunConfig:
 def _section(raw: dict, name: str) -> dict:
     value = raw.get(name, {})
     if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be an object, got {type(value).__name__}")
+        raise ValueError(f"config section {name!r} must be an object, got {type(value).__name__}")
     return dict(value)
 
 
@@ -125,12 +121,12 @@ def _build(section: str, factory, kwargs: dict):
         if f.name in kwargs and f.type in _FIELD_TYPES:
             check, what = _FIELD_TYPES[f.type]
             if not check(kwargs[f.name]):
-                raise ConfigError(f"bad {section!r} config: {f.name} must be {what}, got {kwargs[f.name]!r}")
+                raise ValueError(f"bad {section!r} config: {f.name} must be {what}, got {kwargs[f.name]!r}")
     kwargs = {name: tuple(v) if isinstance(v, list) else v for name, v in kwargs.items()}
     try:
         return factory(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {section!r} config: {exc}") from None
+        raise ValueError(f"bad {section!r} config: {exc}") from None
 
 
 def _load_sweep(raw: dict, miner_raw: dict) -> dict[str, list[float]] | None:
@@ -138,12 +134,12 @@ def _load_sweep(raw: dict, miner_raw: dict) -> dict[str, list[float]] | None:
         return None
     sweep = raw["sweep"]
     if not isinstance(sweep, dict) or len(sweep) != 1:
-        raise ConfigError("sweep must be an object with exactly one of 'beta' or 'k'")
+        raise ValueError("sweep must be an object with exactly one of 'beta' or 'k'")
     (name, values), = sweep.items()
     if name not in ("beta", "k"):
-        raise ConfigError(f"sweep parameter must be 'beta' or 'k', got {name!r}")
+        raise ValueError(f"sweep parameter must be 'beta' or 'k', got {name!r}")
     if not isinstance(values, list) or not values:
-        raise ConfigError(f"sweep over {name!r} needs a nonempty list of values")
+        raise ValueError(f"sweep over {name!r} needs a nonempty list of values")
     # Every swept miner must be valid before ablate trains the first one.
     for value in values:
         _build("sweep", ng.MinerConfig, {**miner_raw, name: value})
@@ -160,26 +156,26 @@ def load_config(
     """Read and validate a JSON run config, applying flag overrides."""
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
+        raise ValueError(f"config root must be an object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - set(_SECTIONS))
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
 
     seed = raw.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
     if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
     output_dir = raw.get("output_dir", "runs")
     if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+        raise ValueError(f"output_dir must be a string, got {output_dir!r}")
     if out_override is not None:
         output_dir = out_override
 
@@ -189,34 +185,34 @@ def load_config(
     if "path" in corpus_raw:
         extras = sorted(set(corpus_raw) - {"path"})
         if extras:
-            raise ConfigError(f"corpus path cannot be combined with spec fields: {', '.join(extras)}")
+            raise ValueError(f"corpus path cannot be combined with spec fields: {', '.join(extras)}")
         if not isinstance(corpus_raw["path"], str):
-            raise ConfigError(f"corpus path must be a string, got {corpus_raw['path']!r}")
+            raise ValueError(f"corpus path must be a string, got {corpus_raw['path']!r}")
         corpus_path = Path(corpus_raw["path"])
         if not corpus_path.exists():
-            raise ConfigError(f"corpus path not found: {corpus_path}")
+            raise ValueError(f"corpus path not found: {corpus_path}")
     else:
         corpus_spec = _build("corpus", CorpusSpec, corpus_raw)
 
     encoder_raw = {**_ENCODER_DEFAULTS, **_section(raw, "encoder")}
     if "input_dim" not in encoder_raw:
         if corpus_spec is None:
-            raise ConfigError("encoder input_dim is required when the corpus comes from a path")
+            raise ValueError("encoder input_dim is required when the corpus comes from a path")
         encoder_raw["input_dim"] = corpus_spec.input_dim
     encoder_raw.setdefault("seed", seed)
     encoder = _build("encoder", EncoderConfig, encoder_raw)
     if corpus_spec is not None and corpus_spec.input_dim != encoder.input_dim:
-        raise ConfigError(
+        raise ValueError(
             f"encoder input_dim {encoder.input_dim} != corpus input_dim {corpus_spec.input_dim}"
         )
 
     teacher_raw = _section(raw, "teacher")
     offset_scale = teacher_raw.pop("offset_scale", 3.0)
     if not _is_number(offset_scale):
-        raise ConfigError(f"teacher offset_scale must be a finite number, got {offset_scale!r}")
+        raise ValueError(f"teacher offset_scale must be a finite number, got {offset_scale!r}")
     offset_scale = float(offset_scale)
     if offset_scale < 0.0:
-        raise ConfigError(f"teacher offset_scale must be >= 0, got {offset_scale}")
+        raise ValueError(f"teacher offset_scale must be >= 0, got {offset_scale}")
     # The teacher shares the student's architecture unless told otherwise,
     # but never its seed: an identical teacher makes distillation a no-op.
     teacher_defaults = {
@@ -235,18 +231,18 @@ def load_config(
     optimizer_raw = _section(raw, "optimizer")
     steps = optimizer_raw.pop("steps", _DEFAULT_STEPS)
     if not _is_int(steps) or steps < 0:
-        raise ConfigError(f"optimizer steps must be a nonnegative integer, got {steps!r}")
+        raise ValueError(f"optimizer steps must be a nonnegative integer, got {steps!r}")
     optimizer = _build("optimizer", optim.OptimizerSettings, optimizer_raw)
 
     gradcache_raw = {**_GRADCACHE_DEFAULTS, **_section(raw, "gradcache")}
     extras = sorted(set(gradcache_raw) - set(_GRADCACHE_DEFAULTS))
     if extras:
-        raise ConfigError(f"unknown gradcache keys: {', '.join(extras)}")
+        raise ValueError(f"unknown gradcache keys: {', '.join(extras)}")
     enabled, sub_batch = gradcache_raw["enabled"], gradcache_raw["sub_batch"]
     if not isinstance(enabled, bool):
-        raise ConfigError(f"gradcache enabled must be true or false, got {enabled!r}")
+        raise ValueError(f"gradcache enabled must be true or false, got {enabled!r}")
     if not _is_int(sub_batch) or sub_batch < 1:
-        raise ConfigError(f"gradcache sub_batch must be a positive integer, got {sub_batch!r}")
+        raise ValueError(f"gradcache sub_batch must be a positive integer, got {sub_batch!r}")
 
     return RunConfig(
         corpus_spec=corpus_spec,
@@ -270,7 +266,7 @@ def _starting_encoder(cfg: RunConfig, checkpoint: str | None) -> Encoder:
         return Encoder(cfg.encoder)
     checkpoint_path = Path(checkpoint)
     if not checkpoint_path.exists():
-        raise ConfigError(f"checkpoint not found: {checkpoint_path}")
+        raise ValueError(f"checkpoint not found: {checkpoint_path}")
     return load_checkpoint(checkpoint_path)
 
 
@@ -359,7 +355,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
 
 def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     if cfg.sweep is None:
-        raise ConfigError("ablate needs a 'sweep' section with 'beta' or 'k' values")
+        raise ValueError("ablate needs a 'sweep' section with 'beta' or 'k' values")
     (name, values), = cfg.sweep.items()
     corpus = cfg.load_corpus()
 
@@ -448,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         outputs = COMMAND_TABLE[args.command][0](cfg, args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finished = time.time()

@@ -36,22 +36,6 @@ PLANTED_SUFFIX = "#dup"
 _PLANTED_BLEND = 0.5
 
 
-class InvalidSpecError(ValueError):
-    """CorpusSpec fields are out of range or inconsistent."""
-
-
-class MalformedRecordError(ValueError):
-    """A corpus file line failed to parse or validate."""
-
-    def __init__(self, line_number: int, message: str):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
-
-
-class MissingPositiveError(ValueError):
-    """A pair references a positive id absent from the item pool."""
-
-
 @dataclass(frozen=True)
 class CorpusSpec:
     """Knobs of the synthetic corpus generator.
@@ -76,34 +60,34 @@ class CorpusSpec:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_groups < 1 or self.items_per_group < 1 or self.input_dim < 1:
-            raise InvalidSpecError("n_groups, items_per_group, and input_dim must be >= 1")
+            raise ValueError("n_groups, items_per_group, and input_dim must be >= 1")
         lo, hi = self.seq_len_range
         if lo < 1 or hi < lo:
-            raise InvalidSpecError(f"bad seq_len_range {self.seq_len_range}")
+            raise ValueError(f"bad seq_len_range {self.seq_len_range}")
         if not 0.0 <= self.false_negative_rate <= 1.0:
-            raise InvalidSpecError(f"false_negative_rate must be in [0, 1], got {self.false_negative_rate}")
+            raise ValueError(f"false_negative_rate must be in [0, 1], got {self.false_negative_rate}")
         scales = (self.noise_scale, self.centroid_scale, self.pair_scale)
         if not all(map(math.isfinite, scales)):
-            raise InvalidSpecError(f"scales must be finite, got {scales}")
+            raise ValueError(f"scales must be finite, got {scales}")
         if self.noise_scale < 0.0 or self.centroid_scale <= 0.0 or self.pair_scale < 0.0:
-            raise InvalidSpecError("scales must be non-negative (centroid_scale strictly positive)")
+            raise ValueError("scales must be non-negative (centroid_scale strictly positive)")
         if not 0.0 <= self.view_mix <= 1.0:
-            raise InvalidSpecError(f"view_mix must be in [0, 1], got {self.view_mix}")
+            raise ValueError(f"view_mix must be in [0, 1], got {self.view_mix}")
         if not self.modality_mix:
-            raise InvalidSpecError("modality_mix cannot be empty")
+            raise ValueError("modality_mix cannot be empty")
         total = 0.0
         for name, weight in self.modality_mix.items():
             if name not in ("text", "image", "fused"):
-                raise InvalidSpecError(f"unknown modality {name!r} in mix")
+                raise ValueError(f"unknown modality {name!r} in mix")
             if not (weight >= 0.0 and math.isfinite(weight)):
-                raise InvalidSpecError(f"weight for modality {name!r} must be finite and >= 0, got {weight}")
+                raise ValueError(f"weight for modality {name!r} must be finite and >= 0, got {weight}")
             total += weight
         if abs(total - 1.0) > 1e-9:
-            raise InvalidSpecError(f"modality_mix weights must sum to 1, got {total}")
+            raise ValueError(f"modality_mix weights must sum to 1, got {total}")
         if self.modality_mix.get("fused", 0.0) > 0.0 and lo < 2:
-            raise InvalidSpecError("fused items need seq_len_range starting at 2 or more")
+            raise ValueError("fused items need seq_len_range starting at 2 or more")
 
 
 @dataclass
@@ -127,7 +111,7 @@ class Corpus:
         self._index = {it.id: i for i, it in enumerate(self.items)}
         for pair in self.pairs:
             if pair.positive_id not in self._index:
-                raise MissingPositiveError(
+                raise ValueError(
                     f"pair for query {pair.query.id!r} references missing positive {pair.positive_id!r}"
                 )
 
@@ -257,7 +241,7 @@ def _item_from_json(obj: dict, line_number: int) -> ItemRecord:
             group=obj.get("group"),
         )
     except (KeyError, TypeError, ValueError) as err:
-        raise MalformedRecordError(line_number, f"bad item record: {err}") from err
+        raise ValueError(f"line {line_number}: bad item record: {err}") from err
 
 
 def write_corpus(path, corpus: Corpus) -> None:
@@ -288,21 +272,21 @@ def read_corpus(path) -> Corpus:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
-                raise MalformedRecordError(line_number, f"invalid JSON: {err}") from err
+                raise ValueError(f"line {line_number}: invalid JSON: {err}") from err
             if not isinstance(obj, dict) or "kind" not in obj:
-                raise MalformedRecordError(line_number, "record must be an object with a 'kind'")
+                raise ValueError(f"line {line_number}: record must be an object with a 'kind'")
             if obj["kind"] == "item":
                 item = _item_from_json(obj, line_number)
                 if item.id in seen:
-                    raise MalformedRecordError(line_number, f"duplicate id {item.id!r}")
+                    raise ValueError(f"line {line_number}: duplicate id {item.id!r}")
                 seen.add(item.id)
                 items.append(item)
             elif obj["kind"] == "pair":
                 if "query" not in obj or "positive" not in obj:
-                    raise MalformedRecordError(line_number, "pair record needs 'query' and 'positive'")
+                    raise ValueError(f"line {line_number}: pair record needs 'query' and 'positive'")
                 query = _item_from_json(obj["query"], line_number)
                 if query.id in seen:
-                    raise MalformedRecordError(line_number, f"duplicate id {query.id!r}")
+                    raise ValueError(f"line {line_number}: duplicate id {query.id!r}")
                 seen.add(query.id)
                 pairs.append(
                     PairRecord(
@@ -312,5 +296,5 @@ def read_corpus(path) -> Corpus:
                     )
                 )
             else:
-                raise MalformedRecordError(line_number, f"unknown kind {obj['kind']!r}")
+                raise ValueError(f"line {line_number}: unknown kind {obj['kind']!r}")
     return Corpus(items, pairs)

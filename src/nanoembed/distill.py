@@ -22,14 +22,6 @@ from .encoder import EmbeddingBatch, Encoder, TeacherEncoder
 from .metrics import StepMetrics
 
 
-class BatchSizeMismatchError(ValueError):
-    """Student and teacher batches disagree on row count."""
-
-
-class EmptyCorpusError(ValueError):
-    """The corpus has too few usable items to form a batch."""
-
-
 @dataclass(frozen=True)
 class DistillConfig:
     """Stage-1 knobs: softmax temperature and mini-batch size."""
@@ -39,7 +31,7 @@ class DistillConfig:
 
     def __post_init__(self):
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise ad.NonPositiveTemperatureError(f"tau must be finite and > 0, got {self.tau}")
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
 
@@ -56,7 +48,7 @@ def kl_distillation_loss(e_s: EmbeddingBatch, e_t: EmbeddingBatch, tau: float) -
     the caller passes a recording batch.
     """
     if len(e_s) != len(e_t):
-        raise BatchSizeMismatchError(f"student batch has {len(e_s)} rows, teacher {len(e_t)}")
+        raise ValueError(f"student batch has {len(e_s)} rows, teacher {len(e_t)}")
     student_sims = _self_similarities(e_s.matrix)
     teacher_sims = _self_similarities(ad.constant(e_t.values))
     p_student = ad.softmax_rows(student_sims, tau)
@@ -83,7 +75,7 @@ def stage1_train(
         raise ValueError(f"steps must be nonnegative, got {steps}")
     pool = corpus.text_items()
     if len(pool) < 2:
-        raise EmptyCorpusError(f"need at least 2 text items to distill, found {len(pool)}")
+        raise ValueError(f"need at least 2 text items to distill, found {len(pool)}")
     batch_size = min(config.batch_size, len(pool))
     rng = np.random.default_rng(seed)
     params = encoder.parameters()

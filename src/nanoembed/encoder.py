@@ -29,22 +29,6 @@ _CHECKPOINT_VERSION = 1
 MODALITIES = ("text", "image", "fused")
 
 
-class DimMismatchError(ValueError):
-    """Feature or embedding width does not match the expected dimension."""
-
-
-class EmptyBatchError(ValueError):
-    """An encoder call needs at least one item."""
-
-
-class ZeroSumError(ValueError):
-    """Fusing two embeddings whose sum is (near-)zero has no direction."""
-
-
-class NonUnitRowError(ValueError):
-    """A row that must be unit-norm is not."""
-
-
 @dataclass(frozen=True)
 class EncoderConfig:
     """Architecture and initialization of the toy encoder.
@@ -91,7 +75,7 @@ class ItemRecord:
             raise ValueError(f"group must be a string or null, got {self.group!r}")
         arr = np.asarray(self.features, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1:
-            raise DimMismatchError(f"features must be (positions, input_dim), got shape {arr.shape}")
+            raise ValueError(f"features must be (positions, input_dim), got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError(f"item {self.id!r} has non-finite features")
         self.features = arr
@@ -111,7 +95,7 @@ class EmbeddingBatch:
         norms = np.linalg.norm(matrix.values, axis=1)
         if not (np.abs(norms - 1.0) <= 1e-10).all():
             bad = int(np.abs(norms - 1.0).argmax())
-            raise NonUnitRowError(f"row {bad} has norm {norms[bad]!r}, expected 1 within 1e-10")
+            raise ValueError(f"row {bad} has norm {norms[bad]!r}, expected 1 within 1e-10")
         self.ids = ids
         self.matrix = matrix
 
@@ -169,7 +153,7 @@ class Encoder:
             raise ValueError("weight names do not match this encoder's architecture")
         for p, (_, values) in zip(self._params, arrays):
             if p.values.shape != values.shape:
-                raise DimMismatchError(f"{p.name}: shape {values.shape} does not fit {p.values.shape}")
+                raise ValueError(f"{p.name}: shape {values.shape} does not fit {p.values.shape}")
             p.tensor.values[...] = values
 
     def encode(self, items: Sequence[ItemRecord], record: bool = True) -> EmbeddingBatch:
@@ -181,13 +165,13 @@ class Encoder:
         """
         items = list(items)
         if not items:
-            raise EmptyBatchError("cannot encode an empty batch")
+            raise ValueError("cannot encode an empty batch")
         width = self.config.input_dim
         for it in items:
             if it.modality == "fused":
                 raise ValueError(f"item {it.id!r} is fused; stage-2 training takes text and image items only")
             if it.features.shape[1] != width:
-                raise DimMismatchError(
+                raise ValueError(
                     f"item {it.id!r} has feature width {it.features.shape[1]}, encoder expects {width}"
                 )
         x = ad.constant(np.stack([it.features[-1] for it in items]))
@@ -235,15 +219,15 @@ def fuse_multimodal(e_a: np.ndarray, e_b: np.ndarray) -> np.ndarray:
     a = np.asarray(e_a, dtype=np.float64).reshape(-1)
     b = np.asarray(e_b, dtype=np.float64).reshape(-1)
     if a.shape != b.shape:
-        raise DimMismatchError(f"embedding dims differ: {a.shape[0]} vs {b.shape[0]}")
+        raise ValueError(f"embedding dims differ: {a.shape[0]} vs {b.shape[0]}")
     for name, v in (("first", a), ("second", b)):
         norm = np.linalg.norm(v)
         if abs(norm - 1.0) > 1e-6:
-            raise NonUnitRowError(f"{name} embedding has norm {norm!r}, expected unit")
+            raise ValueError(f"{name} embedding has norm {norm!r}, expected unit")
     s = a + b
     norm = np.linalg.norm(s)
     if norm < 1e-12:
-        raise ZeroSumError("embeddings cancel; fused direction is undefined")
+        raise ValueError("embeddings cancel; fused direction is undefined")
     return s / norm
 
 
@@ -256,7 +240,7 @@ def embed_items(encoder: Encoder, items: Sequence[ItemRecord]) -> EmbeddingBatch
     """
     items = list(items)
     if not items:
-        raise EmptyBatchError("cannot embed an empty batch")
+        raise ValueError("cannot embed an empty batch")
     plain = [it for it in items if it.modality != "fused"]
     fused = [it for it in items if it.modality == "fused"]
     rows: dict[str, np.ndarray] = {}
@@ -265,7 +249,7 @@ def embed_items(encoder: Encoder, items: Sequence[ItemRecord]) -> EmbeddingBatch
     halves = []
     for it in fused:
         if it.features.shape[0] < 2:
-            raise DimMismatchError(f"fused item {it.id!r} needs at least 2 positions")
+            raise ValueError(f"fused item {it.id!r} needs at least 2 positions")
         half = it.features.shape[0] // 2
         halves.append(ItemRecord(f"{it.id}/a", "text", it.features[:half], it.group))
         halves.append(ItemRecord(f"{it.id}/b", "image", it.features[half:], it.group))

@@ -23,10 +23,6 @@ from .distill import kl_distillation_loss
 from .encoder import EmbeddingBatch, Encoder, ItemRecord
 
 
-class PlanMismatchError(ValueError):
-    """A cache plan does not partition the batch it is applied to."""
-
-
 @dataclass(frozen=True)
 class CachePlan:
     """Partition of an effective batch into contiguous sub-batches."""
@@ -70,12 +66,12 @@ class ContrastiveObjective:
     """InfoNCE of query rows against candidate rows: the one scoring rule of
     a stage-2 step, naive or cached.
 
-    loss_between mines negatives on the plain embedding values, outside the
-    graph, then builds the loss; loss_on does the same for a batch laid out
-    as n_queries query rows then the candidates.  seed is an int (each mine
-    starts a fresh generator) or a Generator (each mine draws on from it).
-    selection_rates holds the FalseNeg% and duplication rate of the latest
-    mine.
+    loss_between builds the query-by-candidate similarity matrix once, mines
+    negatives on its plain values, outside the graph, and gathers the loss
+    from it; loss_on does the same for a batch laid out as n_queries query
+    rows then the candidates.  seed is an int (each mine starts a fresh
+    generator) or a Generator (each mine draws on from it).  selection_rates
+    holds the FalseNeg% and duplication rate of the latest mine.
     """
 
     n_queries: int
@@ -91,13 +87,13 @@ class ContrastiveObjective:
         if len(self.positives) != self.n_queries:
             raise ValueError(f"{len(self.positives)} positives for {self.n_queries} queries")
         if self.mode not in ng.NEGATIVE_MODES:
-            raise ng.ModeUnknownError(f"mode must be one of {ng.NEGATIVE_MODES}, got {self.mode!r}")
+            raise ValueError(f"mode must be one of {ng.NEGATIVE_MODES}, got {self.mode!r}")
 
-    def mine(self, queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """The (n_queries, k) negative candidate indices, deterministic given values."""
+    def mine(self, sims: Tensor) -> np.ndarray:
+        """The (n_queries, k) negative candidate indices, deterministic given sims.values."""
         rng = np.random.default_rng(self.seed)
         negatives, filtered, dup = ng.select_negatives(
-            queries @ candidates.T, self.positives, self.config.k, self.mode, self.config.beta, rng
+            sims.values, self.positives, self.config.k, self.mode, self.config.beta, rng
         )
         self.selection_rates = ng.selection_rates(filtered, dup)
         return negatives
@@ -105,8 +101,8 @@ class ContrastiveObjective:
     def loss_between(self, queries: Tensor, candidates: Tensor) -> Tensor:
         from . import infonce as nce  # imported here because infonce imports this module
 
-        negatives = self.mine(queries.values, candidates.values)
-        return nce.infonce_batch_loss(queries, candidates, self.positives, negatives, self.config.tau)
+        sims = ad.matmul(queries, ad.transpose(candidates))
+        return nce.infonce_batch_loss(sims, self.positives, self.mine(sims), self.config.tau)
 
     def loss_on(self, emb: EmbeddingBatch) -> Tensor:
         n, total = self.n_queries, len(emb)
@@ -152,7 +148,7 @@ def cached_step(
     """Two-pass step whose gradients match naive_step on the same inputs."""
     items = list(items)
     if plan.effective_batch != len(items):
-        raise PlanMismatchError(f"plan covers {plan.effective_batch} items, batch has {len(items)}")
+        raise ValueError(f"plan covers {plan.effective_batch} items, batch has {len(items)}")
     params = encoder.parameters()
 
     blocks = [encoder.encode(items[a:b], record=False) for a, b in plan.ranges]

@@ -21,15 +21,15 @@ from . import negatives as ng
 from . import optim
 from .autodiff import Tensor
 from .corpus import Corpus
-from .encoder import Encoder, NonUnitRowError
+from .encoder import Encoder
 from .gradcache import CachePlan, ContrastiveObjective, cached_step
 from .metrics import StepMetrics
-from .negatives import NEGATIVE_MODES, ModeUnknownError  # re-exported
+from .negatives import NEGATIVE_MODES
 
 
 def _unit_rows(values: np.ndarray, label: str) -> None:
     if not (np.abs(np.linalg.norm(values, axis=1) - 1.0) <= 1e-10).all():
-        raise NonUnitRowError(f"{label} rows must be unit-norm within 1e-10")
+        raise ValueError(f"{label} rows must be unit-norm within 1e-10")
 
 
 @dataclass(frozen=True)
@@ -65,23 +65,21 @@ def infonce_hard_loss(triple: ContrastiveTriple, tau: float) -> Tensor:
 
 
 def infonce_batch_loss(
-    queries: Tensor,
-    candidates: Tensor,
+    sims: Tensor,
     positives: Sequence[int],
     negatives: np.ndarray | Sequence[Sequence[int]],
     tau: float,
 ) -> Tensor:
-    """Mean per-query InfoNCE where rows index queries and columns candidates.
+    """Mean per-query InfoNCE over a query-by-candidate similarity matrix.
 
     Row i's logits gather candidate columns [positives[i], *negatives[i]],
     negatives being n x k; duplicated negative indices contribute as many
     denominator terms as they appear, matching per-triple evaluation exactly.
     """
-    n = queries.shape[0]
+    n = sims.shape[0]
     cols = np.column_stack((positives, negatives))
     if cols.shape[0] != n:
         raise ValueError(f"{cols.shape[0]} rows of positives and negatives for {n} queries")
-    sims = ad.matmul(queries, ad.transpose(candidates))
     logits = ad.scale(ad.gather_columns(sims, cols), 1.0 / ad.check_tau(tau))
     per_query = ad.sub(ad.row_log_sum_exp(logits), ad.gather_columns(logits, [[0]] * n))
     return ad.scale(ad.total_sum(per_query), 1.0 / n)
@@ -109,7 +107,7 @@ def _select_negatives(
     elif mode == "random":
         ranked = rng.permutation(eligible)
     else:
-        raise ModeUnknownError(f"negative_mode must be one of {NEGATIVE_MODES}, got {mode!r}")
+        raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}, got {mode!r}")
     reps = -(-k // ranked.size)
     return [int(j) for j in np.tile(ranked, reps)[:k]], set(), max(0, k - eligible.size)
 
@@ -139,24 +137,23 @@ def stage2_train(
     pre-clip gradient norm.
     """
     if negative_mode not in NEGATIVE_MODES:
-        raise ModeUnknownError(f"negative_mode must be one of {NEGATIVE_MODES}, got {negative_mode!r}")
+        raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}, got {negative_mode!r}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    pairs = corpus.pairs
-    if not pairs:
+    all_queries = corpus.queries()
+    if not all_queries:
         raise ValueError("corpus has no query/positive pairs")
+    all_positives = np.array(corpus.positive_indices())
     rng = np.random.default_rng(seed)
     params = encoder.parameters()
     optimizer = optim.make_optimizer(settings)
     trace: list[StepMetrics] = []
     for step in range(steps):
-        picks = rng.choice(len(pairs), size=len(pairs), replace=False)
-        batch_pairs = [pairs[int(i)] for i in picks]
-        queries = [p.query for p in batch_pairs]
-        positives = [corpus.item_index(p.positive_id) for p in batch_pairs]
+        picks = rng.choice(len(all_queries), size=len(all_queries), replace=False)
+        queries = [all_queries[i] for i in picks]
         # default_rng(rng) returns rng itself, so mining draws from the loop's stream.
         objective = ContrastiveObjective(
-            n_queries=len(queries), positives=tuple(positives), config=config,
+            n_queries=len(queries), positives=tuple(all_positives[picks]), config=config,
             mode=negative_mode, seed=rng,
         )
         if sub_batch is None:

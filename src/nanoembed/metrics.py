@@ -17,14 +17,6 @@ from .atomic import atomic_open
 FIELD_ORDER = ("step", "loss", "grad_norm", "false_neg_pct", "duplication_rate")
 
 
-class MalformedMetricsError(ValueError):
-    """A metrics line is not valid JSON or violates the schema."""
-
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
 @dataclass(frozen=True)
 class StepMetrics:
     """One training step: loss plus negative-mining diagnostics.
@@ -68,20 +60,20 @@ def read_trace(path: str | Path) -> list[StepMetrics]:
             try:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MalformedMetricsError(line_number, f"invalid JSON: {exc.msg}") from exc
+                raise ValueError(f"line {line_number}: invalid JSON: {exc.msg}") from exc
             if not isinstance(raw, dict):
-                raise MalformedMetricsError(line_number, "record is not an object")
+                raise ValueError(f"line {line_number}: record is not an object")
             if set(raw) != set(FIELD_ORDER):
-                raise MalformedMetricsError(line_number, f"fields {sorted(raw)} != {sorted(FIELD_ORDER)}")
+                raise ValueError(f"line {line_number}: fields {sorted(raw)} != {sorted(FIELD_ORDER)}")
             if not isinstance(raw["step"], int) or isinstance(raw["step"], bool):
-                raise MalformedMetricsError(line_number, f"step must be an integer, got {raw['step']!r}")
+                raise ValueError(f"line {line_number}: step must be an integer, got {raw['step']!r}")
             values = {}
             for name in FIELD_ORDER[1:]:
                 if isinstance(raw[name], bool) or not isinstance(raw[name], (int, float)):
-                    raise MalformedMetricsError(line_number, f"{name} must be a number, got {raw[name]!r}")
+                    raise ValueError(f"line {line_number}: {name} must be a number, got {raw[name]!r}")
                 values[name] = float(raw[name])
             try:
                 records.append(StepMetrics(step=raw["step"], **values))
             except ValueError as exc:
-                raise MalformedMetricsError(line_number, str(exc)) from exc
+                raise ValueError(f"line {line_number}: {exc}") from exc
     return records

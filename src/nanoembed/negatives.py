@@ -32,10 +32,6 @@ class NoEligibleNegativesError(ValueError):
     """Every candidate was the positive or filtered; nothing to sample."""
 
 
-class ModeUnknownError(ValueError):
-    """Requested negative-selection mode is not one of hard/easy/random."""
-
-
 @dataclass(frozen=True)
 class MinerConfig:
     """Filtering margin, negatives per query, and the loss temperature."""
@@ -45,6 +41,8 @@ class MinerConfig:
     tau: float = 0.05
 
     def __post_init__(self):
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not math.isfinite(self.beta):
@@ -141,7 +139,7 @@ def select_negatives(
     per-query loop would consume it; the other modes never touch ``rng``.
     """
     if mode not in NEGATIVE_MODES:
-        raise ModeUnknownError(f"negative_mode must be one of {NEGATIVE_MODES}, got {mode!r}")
+        raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}, got {mode!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     sims = np.asarray(sims, dtype=np.float64)

@@ -20,19 +20,11 @@ from .corpus import Corpus
 from .encoder import EmbeddingBatch, Encoder, embed_items
 
 
-class EmptyCandidatesError(ValueError):
-    """Ranking requested against an empty candidate set."""
-
-
-class KExceedsCandidatesError(ValueError):
-    """Metric cutoff k is larger than the ranked list."""
-
-
 def rank_scores(scores: np.ndarray) -> list[int]:
     """Indices sorted by score descending, ties by ascending index."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     if scores.size == 0:
-        raise EmptyCandidatesError("no candidates to rank")
+        raise ValueError("no candidates to rank")
     order = np.lexsort((np.arange(scores.size), -scores))
     return [int(i) for i in order]
 
@@ -44,7 +36,7 @@ def rank_candidates(q_row: np.ndarray, candidates: EmbeddingBatch) -> np.ndarray
     tied candidates in ascending index order.
     """
     if len(candidates) == 0:
-        raise EmptyCandidatesError("no candidates to rank")
+        raise ValueError("no candidates to rank")
     q = np.asarray(q_row, dtype=np.float64).reshape(-1)
     if q.size != candidates.dim:
         raise ValueError(f"query width {q.size} != candidate width {candidates.dim}")
@@ -58,7 +50,7 @@ def _hit_counts(hits: np.ndarray, k: int) -> np.ndarray:
     if hits.shape[0] == 0:
         raise ValueError("no ranked queries")
     if k > hits.shape[1]:
-        raise KExceedsCandidatesError(f"k={k} exceeds the ranked list ({hits.shape[1]})")
+        raise ValueError(f"k={k} exceeds the ranked list ({hits.shape[1]})")
     return np.count_nonzero(hits[:, :k], axis=1)
 
 

@@ -44,7 +44,7 @@ class TestTriple:
     def test_shape_and_norm_validation(self):
         q = unit_rows(0, 1, 4)
         negs = unit_rows(1, 3, 4)
-        with pytest.raises(enc.NonUnitRowError):
+        with pytest.raises(ValueError, match="query rows must be unit-norm"):
             triple_from(q * 2.0, q, negs)
         with pytest.raises(ValueError):
             triple_from(unit_rows(0, 2, 4), q, negs)
@@ -58,7 +58,7 @@ class TestTriple:
         q = unit_rows(0, 1, 4)
         negs = unit_rows(1, 3, 4)
         negs[1, 0] = np.nan
-        with pytest.raises(enc.NonUnitRowError, match="negative"):
+        with pytest.raises(ValueError, match="negative rows must be unit-norm"):
             triple_from(q, q, negs)
 
 
@@ -140,8 +140,14 @@ class TestHardLoss:
 
     def test_nonpositive_tau_rejected(self):
         rows = unit_rows(12, 3, 4)
-        with pytest.raises(ad.NonPositiveTemperatureError):
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
             nce.infonce_hard_loss(triple_from(rows[:1], rows[1:2], rows[2:]), 0.0)
+
+    def test_infinite_tau_rejected(self):
+        # At tau = inf the batch loss would read ln(1 + k) whatever the embeddings.
+        rows = unit_rows(13, 3, 4)
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            nce.infonce_batch_loss(ad.constant(rows[:1] @ rows.T), [1], [[2]], float("inf"))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -166,9 +172,7 @@ class TestBatchLoss:
         candidates = unit_rows(16, 12, 5)
         positives = [int(rng.integers(0, 12)) for _ in range(6)]
         negatives = [[int(j) for j in rng.choice(12, size=4, replace=False)] for _ in range(6)]
-        batch = nce.infonce_batch_loss(
-            ad.constant(queries), ad.constant(candidates), positives, negatives, 0.1
-        ).item()
+        batch = nce.infonce_batch_loss(ad.constant(queries @ candidates.T), positives, negatives, 0.1).item()
         per_triple = [
             nce.infonce_hard_loss(
                 triple_from(queries[i : i + 1], candidates[positives[i]][None, :], candidates[negatives[i]]),
@@ -181,17 +185,17 @@ class TestBatchLoss:
     def test_duplicated_negatives_count_repeatedly(self):
         queries = unit_rows(17, 1, 4)
         candidates = unit_rows(18, 3, 4)
-        once = nce.infonce_batch_loss(ad.constant(queries), ad.constant(candidates), [0], [[1]], 0.5).item()
-        twice = nce.infonce_batch_loss(ad.constant(queries), ad.constant(candidates), [0], [[1, 1]], 0.5).item()
+        sims = ad.constant(queries @ candidates.T)
+        once = nce.infonce_batch_loss(sims, [0], [[1]], 0.5).item()
+        twice = nce.infonce_batch_loss(sims, [0], [[1, 1]], 0.5).item()
         assert twice > once
 
     def test_shape_validation(self):
-        queries = ad.constant(unit_rows(19, 2, 4))
-        candidates = ad.constant(unit_rows(20, 5, 4))
+        sims = ad.constant(unit_rows(19, 2, 4) @ unit_rows(20, 5, 4).T)
         with pytest.raises(ValueError):
-            nce.infonce_batch_loss(queries, candidates, [0], [[1], [2]], 0.1)
+            nce.infonce_batch_loss(sims, [0], [[1], [2]], 0.1)
         with pytest.raises(ValueError):
-            nce.infonce_batch_loss(queries, candidates, [0, 1], [[1], [2, 3]], 0.1)
+            nce.infonce_batch_loss(sims, [0, 1], [[1], [2, 3]], 0.1)
 
 
 class TestSelectNegatives:
@@ -224,7 +228,7 @@ class TestSelectNegatives:
         assert picks == [0, 0] and dup == 1
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(nce.ModeUnknownError):
+        with pytest.raises(ValueError, match="negative_mode must be one of .*, got 'medium'"):
             nce._select_negatives(np.array([0.1, 0.2]), 0, 1, "medium", 0.0, np.random.default_rng(0))
 
 
@@ -251,7 +255,7 @@ class TestStage2Train:
 
     def test_unknown_mode_rejected(self):
         corpus, encoder = small_setup()
-        with pytest.raises(nce.ModeUnknownError):
+        with pytest.raises(ValueError, match="negative_mode must be one of .*, got 'medium'"):
             nce.stage2_train(encoder, corpus, ng.MinerConfig(), optim.OptimizerSettings(), 1, "medium")
 
     def test_trace_schema_and_loss_decreases(self):

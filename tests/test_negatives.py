@@ -139,6 +139,11 @@ class TestMinerConfig:
         with pytest.raises(ValueError, match="finite"):
             neg.MinerConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [True, 2.0, "4"])
+    def test_non_integer_k_rejected(self, value):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            neg.MinerConfig(k=value)
+
     def test_negative_beta_stays_legal(self):
         assert neg.MinerConfig(beta=-0.1).beta == -0.1
 
@@ -302,7 +307,7 @@ class TestSelectNegatives:
             neg.select_negatives(sims, positives, k, mode, beta, np.random.default_rng(seed))
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(neg.ModeUnknownError):
+        with pytest.raises(ValueError, match="negative_mode must be one of .*, got 'medium'"):
             neg.select_negatives(np.zeros((1, 2)), [0], 1, "medium", 0.0, None)
 
     def test_random_mode_needs_a_generator(self):

@@ -1,4 +1,5 @@
-"""Every top-level function and class in the package has a caller.
+"""Every top-level function and class in the package has a caller, and
+every exception class has a caller that tells it apart from its base.
 
 A name counts as reached when it appears anywhere in ``src/``, in the
 acceptance criteria or in the benchmark scripts, other than at its own
@@ -51,3 +52,43 @@ def test_every_top_level_name_is_reached():
 
 def test_allowlist_names_only_unreached_definitions():
     assert set(ALLOWED) <= set(unreached_names())
+
+
+def exception_bases() -> dict[str, str]:
+    """Exception class name -> the name of its base, for every one in the package."""
+    bases = {}
+    for module in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names = [base.id for base in node.bases if isinstance(base, ast.Name)]
+                if any(name.endswith(("Error", "Exception")) for name in names):
+                    bases[node.name] = names[0]
+    return bases
+
+
+def caught_names(handler: ast.ExceptHandler) -> set[str]:
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {t.id if isinstance(t, ast.Name) else t.attr for t in types if isinstance(t, (ast.Name, ast.Attribute))}
+
+
+def untold_exceptions() -> dict[str, str]:
+    """Exception classes that neither an acceptance criterion names nor a
+    src/ except clause catches apart from their base."""
+    clauses = [
+        caught_names(node)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+    ]
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    return {
+        name: base
+        for name, base in exception_bases().items()
+        if not re.search(rf"\b{name}\b", acceptance)
+        and not any(name in names and base not in names for names in clauses)
+    }
+
+
+def test_every_exception_class_is_told_apart():
+    untold = untold_exceptions()
+    assert not untold, f"no caller tells these apart from their base (raise the base instead): {untold}"
