@@ -20,6 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .fields import is_number
+
 Vjp = Callable[[np.ndarray], tuple]
 
 _NORM_FLOOR = 1e-12
@@ -275,11 +277,10 @@ def row_l2_normalize(a: Tensor) -> Tensor:
 
 
 def check_tau(tau: float) -> float:
-    """tau as a float; raises ValueError unless it is finite and > 0."""
-    tau = float(tau)
-    if not 0.0 < tau < np.inf:
-        raise ValueError(f"temperature must be finite and > 0, got {tau}")
-    return tau
+    """tau as a float; raises ValueError unless it is a finite number > 0."""
+    if not (is_number(tau) and tau > 0.0):
+        raise ValueError(f"temperature must be finite and > 0, got {tau!r}")
+    return float(tau)
 
 
 def softmax_rows(a: Tensor, tau: float = 1.0) -> Tensor:

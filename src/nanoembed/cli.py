@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .encoder import (
     load_checkpoint,
     save_checkpoint,
 )
+from .fields import is_int, is_number
 from .metrics import StepMetrics, write_trace
 from .retrieval import evaluate_checkpoint
 
@@ -88,40 +89,8 @@ def _section(raw: dict, name: str) -> dict:
     return dict(value)
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: 2.0 and true are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A JSON number a float holds finitely: true, "3", NaN, Infinity and
-    integers beyond the float range are not."""
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-
-
-# What a config field must hold in JSON, by its dataclass annotation.
-_FIELD_TYPES = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a finite number"),
-    "tuple[int, int]": (
-        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
-        "a list of two integers",
-    ),
-    "dict[str, float]": (
-        lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
-        "an object of finite numbers",
-    ),
-}
-
-
 def _build(section: str, factory, kwargs: dict):
-    """factory(**kwargs) once every annotated field holds its JSON type;
-    JSON lists become tuples."""
-    for f in fields(factory):
-        if f.name in kwargs and f.type in _FIELD_TYPES:
-            check, what = _FIELD_TYPES[f.type]
-            if not check(kwargs[f.name]):
-                raise ValueError(f"bad {section!r} config: {f.name} must be {what}, got {kwargs[f.name]!r}")
+    """factory(**kwargs) with JSON lists as tuples; its errors name the section."""
     kwargs = {name: tuple(v) if isinstance(v, list) else v for name, v in kwargs.items()}
     try:
         return factory(**kwargs)
@@ -143,9 +112,7 @@ def _load_sweep(raw: dict, miner_raw: dict) -> dict[str, list[float]] | None:
     # Every swept miner must be valid before ablate trains the first one.
     for value in values:
         _build("sweep", ng.MinerConfig, {**miner_raw, name: value})
-    if name == "k":
-        return {name: values}
-    return {name: [float(v) for v in values]}
+    return {name: values if name == "k" else [float(v) for v in values]}
 
 
 def load_config(
@@ -170,7 +137,7 @@ def load_config(
     seed = raw.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
-    if not _is_int(seed) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
     output_dir = raw.get("output_dir", "runs")
@@ -208,7 +175,7 @@ def load_config(
 
     teacher_raw = _section(raw, "teacher")
     offset_scale = teacher_raw.pop("offset_scale", 3.0)
-    if not _is_number(offset_scale):
+    if not is_number(offset_scale):
         raise ValueError(f"teacher offset_scale must be a finite number, got {offset_scale!r}")
     offset_scale = float(offset_scale)
     if offset_scale < 0.0:
@@ -230,7 +197,7 @@ def load_config(
 
     optimizer_raw = _section(raw, "optimizer")
     steps = optimizer_raw.pop("steps", _DEFAULT_STEPS)
-    if not _is_int(steps) or steps < 0:
+    if not is_int(steps) or steps < 0:
         raise ValueError(f"optimizer steps must be a nonnegative integer, got {steps!r}")
     optimizer = _build("optimizer", optim.OptimizerSettings, optimizer_raw)
 
@@ -241,7 +208,7 @@ def load_config(
     enabled, sub_batch = gradcache_raw["enabled"], gradcache_raw["sub_batch"]
     if not isinstance(enabled, bool):
         raise ValueError(f"gradcache enabled must be true or false, got {enabled!r}")
-    if not _is_int(sub_batch) or sub_batch < 1:
+    if not is_int(sub_batch) or sub_batch < 1:
         raise ValueError(f"gradcache sub_batch must be a positive integer, got {sub_batch!r}")
 
     return RunConfig(

@@ -23,7 +23,6 @@ filter's job verifiable.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,6 +30,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .encoder import ItemRecord
+from .fields import check_types
 
 PLANTED_SUFFIX = "#dup"
 _PLANTED_BLEND = 0.5
@@ -59,6 +59,7 @@ class CorpusSpec:
     view_mix: float = 1.0
 
     def __post_init__(self):
+        check_types(self)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_groups < 1 or self.items_per_group < 1 or self.input_dim < 1:
@@ -68,22 +69,18 @@ class CorpusSpec:
             raise ValueError(f"bad seq_len_range {self.seq_len_range}")
         if not 0.0 <= self.false_negative_rate <= 1.0:
             raise ValueError(f"false_negative_rate must be in [0, 1], got {self.false_negative_rate}")
-        scales = (self.noise_scale, self.centroid_scale, self.pair_scale)
-        if not all(map(math.isfinite, scales)):
-            raise ValueError(f"scales must be finite, got {scales}")
         if self.noise_scale < 0.0 or self.centroid_scale <= 0.0 or self.pair_scale < 0.0:
             raise ValueError("scales must be non-negative (centroid_scale strictly positive)")
         if not 0.0 <= self.view_mix <= 1.0:
             raise ValueError(f"view_mix must be in [0, 1], got {self.view_mix}")
         if not self.modality_mix:
             raise ValueError("modality_mix cannot be empty")
-        total = 0.0
         for name, weight in self.modality_mix.items():
             if name not in ("text", "image", "fused"):
                 raise ValueError(f"unknown modality {name!r} in mix")
-            if not (weight >= 0.0 and math.isfinite(weight)):
+            if weight < 0.0:
                 raise ValueError(f"weight for modality {name!r} must be finite and >= 0, got {weight}")
-            total += weight
+        total = sum(self.modality_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"modality_mix weights must sum to 1, got {total}")
         if self.modality_mix.get("fused", 0.0) > 0.0 and lo < 2:
@@ -288,13 +285,10 @@ def read_corpus(path) -> Corpus:
                 if query.id in seen:
                     raise ValueError(f"line {line_number}: duplicate id {query.id!r}")
                 seen.add(query.id)
-                pairs.append(
-                    PairRecord(
-                        query=query,
-                        positive_id=obj["positive"],
-                        is_false_negative_planted=bool(obj.get("is_false_negative_planted", False)),
-                    )
-                )
+                planted = obj.get("is_false_negative_planted", False)
+                if not isinstance(planted, bool):
+                    raise ValueError(f"line {line_number}: is_false_negative_planted must be true or false, got {planted!r}")
+                pairs.append(PairRecord(query, obj["positive"], planted))
             else:
                 raise ValueError(f"line {line_number}: unknown kind {obj['kind']!r}")
     return Corpus(items, pairs)

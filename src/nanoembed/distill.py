@@ -9,7 +9,6 @@ reach student parameters only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from . import optim
 from .autodiff import Tensor
 from .corpus import Corpus
 from .encoder import EmbeddingBatch, Encoder, TeacherEncoder
+from .fields import check_types
 from .metrics import StepMetrics
 
 
@@ -30,7 +30,8 @@ class DistillConfig:
     batch_size: int = 16
 
     def __post_init__(self):
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+        check_types(self)
+        if self.tau <= 0.0:
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")

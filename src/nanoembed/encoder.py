@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -22,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import atomic_open
 from .autodiff import Parameter, Tensor
+from .fields import check_types, is_number
 
 _CHECKPOINT_MAGIC = b"NEC1"
 _CHECKPOINT_VERSION = 1
@@ -45,16 +45,13 @@ class EncoderConfig:
     init_gain: float = 1.0
 
     def __post_init__(self):
+        check_types(self)
         for name, low in (("input_dim", 1), ("hidden_dim", 1), ("embed_dim", 1), ("depth", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        gain = self.init_gain
-        number = isinstance(gain, (int, float)) and not isinstance(gain, bool)
-        if not (number and gain > 0.0 and math.isfinite(gain)):
-            raise ValueError(f"init_gain must be a finite number > 0, got {gain!r}")
+        if self.init_gain <= 0.0:
+            raise ValueError(f"init_gain must be a finite number > 0, got {self.init_gain!r}")
 
 
 @dataclass
@@ -195,8 +192,8 @@ class TeacherEncoder:
     """
 
     def __init__(self, config: EncoderConfig, offset_scale: float = 3.0):
-        if not (offset_scale >= 0.0 and math.isfinite(offset_scale)):
-            raise ValueError(f"offset_scale must be finite and >= 0, got {offset_scale}")
+        if not (is_number(offset_scale) and offset_scale >= 0.0):
+            raise ValueError(f"offset_scale must be finite and >= 0, got {offset_scale!r}")
         self.config = config
         self.offset_scale = float(offset_scale)
         self._encoder = Encoder(config)
@@ -310,7 +307,7 @@ def load_checkpoint(path) -> Encoder:
     arrays = []
     for _ in range(n_params):
         (name_len,) = unpack("<H", "array name length")
-        name = take(name_len, "array name").decode()
+        name = take(name_len, "array name").decode(errors="replace")  # a bad name fails the name match
         rows, cols = unpack("<II", f"shape of {name}")
         data = np.frombuffer(take(rows * cols * 8, f"array {name}"), dtype="<f8").reshape(rows, cols)
         if not np.isfinite(data).all():

@@ -21,6 +21,7 @@ from . import negatives as ng
 from .autodiff import Tensor
 from .distill import kl_distillation_loss
 from .encoder import EmbeddingBatch, Encoder, ItemRecord
+from .fields import check_types
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,7 @@ class CachePlan:
     sub_batch: int
 
     def __post_init__(self):
+        check_types(self)
         if self.effective_batch < 1:
             raise ValueError(f"effective_batch must be >= 1, got {self.effective_batch}")
         if not 1 <= self.sub_batch <= self.effective_batch:

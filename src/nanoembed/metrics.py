@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
 from .atomic import atomic_open
-
-FIELD_ORDER = ("step", "loss", "grad_norm", "false_neg_pct", "duplication_rate")
+from .fields import is_int, is_number
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,7 @@ class StepMetrics:
                 raise ValueError(f"step {self.step}: {name} must be finite, got {value}")
 
     def to_json(self) -> str:
-        record = asdict(self)
-        return json.dumps({name: record[name] for name in FIELD_ORDER})
+        return json.dumps(asdict(self))
 
 
 def write_trace(path: str | Path, trace: Iterable[StepMetrics]) -> None:
@@ -52,6 +50,7 @@ def write_trace(path: str | Path, trace: Iterable[StepMetrics]) -> None:
 
 def read_trace(path: str | Path) -> list[StepMetrics]:
     """Parse a trace file, rejecting records that break the schema."""
+    names = [f.name for f in fields(StepMetrics)]
     records = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -63,17 +62,15 @@ def read_trace(path: str | Path) -> list[StepMetrics]:
                 raise ValueError(f"line {line_number}: invalid JSON: {exc.msg}") from exc
             if not isinstance(raw, dict):
                 raise ValueError(f"line {line_number}: record is not an object")
-            if set(raw) != set(FIELD_ORDER):
-                raise ValueError(f"line {line_number}: fields {sorted(raw)} != {sorted(FIELD_ORDER)}")
-            if not isinstance(raw["step"], int) or isinstance(raw["step"], bool):
+            if set(raw) != set(names):
+                raise ValueError(f"line {line_number}: fields {sorted(raw)} != {sorted(names)}")
+            if not is_int(raw["step"]):
                 raise ValueError(f"line {line_number}: step must be an integer, got {raw['step']!r}")
-            values = {}
-            for name in FIELD_ORDER[1:]:
-                if isinstance(raw[name], bool) or not isinstance(raw[name], (int, float)):
+            for name in names[1:]:
+                if not (isinstance(raw[name], float) or is_number(raw[name])):
                     raise ValueError(f"line {line_number}: {name} must be a number, got {raw[name]!r}")
-                values[name] = float(raw[name])
             try:
-                records.append(StepMetrics(step=raw["step"], **values))
+                records.append(StepMetrics(raw["step"], *(float(raw[name]) for name in names[1:])))
             except ValueError as exc:
                 raise ValueError(f"line {line_number}: {exc}") from exc
     return records

@@ -16,13 +16,13 @@ reference it is tested against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .encoder import EmbeddingBatch
+from .fields import check_types
 
 
 NEGATIVE_MODES = ("hard", "easy", "random")
@@ -41,13 +41,10 @@ class MinerConfig:
     tau: float = 0.05
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
+        check_types(self)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+        if self.tau <= 0.0:
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
 
 

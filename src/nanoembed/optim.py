@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Parameter
+from .fields import check_types
 
 # Adam's moment decay rates and denominator floor.
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
@@ -23,11 +23,12 @@ class OptimizerSettings:
     clip_norm: float = 1.0
 
     def __post_init__(self):
+        check_types(self)
         if self.kind not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if not (self.learning_rate > 0.0 and math.isfinite(self.learning_rate)):
+        if self.learning_rate <= 0.0:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (self.clip_norm > 0.0 and math.isfinite(self.clip_norm)):
+        if self.clip_norm <= 0.0:
             raise ValueError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
 
 

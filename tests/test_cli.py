@@ -473,6 +473,13 @@ def with_config(good: bytes, **changes) -> bytes:
     return good[:6] + struct.pack("<I", len(blob)) + blob + good[10 + length :]
 
 
+def with_array_name_byte(good: bytes, byte: int) -> bytes:
+    """The checkpoint good with the first byte of its first array name replaced."""
+    (length,) = struct.unpack_from("<I", good, 6)
+    at = 10 + length + 4 + 2  # past the config, the array count and the name length
+    return good[:at] + bytes([byte]) + good[at + 1 :]
+
+
 # A damaged checkpoint file, built from the bytes of a good one.
 DAMAGED_CHECKPOINTS = {
     "three_bytes": lambda good: good[:3],
@@ -487,6 +494,7 @@ DAMAGED_CHECKPOINTS = {
     "depth_bool": lambda good: with_config(good, depth=True),
     "seed_bool": lambda good: with_config(good, seed=True),
     "init_gain_bool": lambda good: with_config(good, init_gain=True),
+    "array_name_not_utf8": lambda good: with_array_name_byte(good, 0xFF),
 }
 
 
@@ -558,6 +566,23 @@ class TestDamagedCorpus:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"line {bad + 1}: bad item record" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("flag", ["false", 0, None], ids=["string", "int", "null"])
+    def test_planted_flag_must_be_a_json_bool(self, tmp_path, capsys, flag):
+        corpus = tmp_path / "corpus.jsonl"
+        cp.write_corpus(corpus, cp.generate(cp.CorpusSpec(**CORPUS)))
+        lines = corpus.read_text().splitlines()
+        bad = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "pair")
+        lines[bad] = json.dumps({**json.loads(lines[bad]), "is_false_negative_planted": flag})
+        corpus.write_text("\n".join(lines) + "\n")
+        config = write_config(
+            tmp_path, corpus={"path": str(corpus)}, encoder={"input_dim": 8, "hidden_dim": 16, "embed_dim": 8}
+        )
+        capsys.readouterr()
+        assert run("eval", "--config", config, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line {bad + 1}: is_false_negative_planted must be true or false, got {flag!r}\n"
         assert not (tmp_path / "out" / "report.json").exists()
 
 

@@ -51,7 +51,8 @@ class TestSpecValidation:
         {"modality_mix": {"text": float("inf"), "image": -float("inf")}},
     ])
     def test_non_finite_values_rejected(self, overrides):
-        with pytest.raises(ValueError, match="must be finite"):
+        (name,) = overrides
+        with pytest.raises(ValueError, match=rf"^{name} must be (a|an object of) finite number"):
             cp.CorpusSpec(**overrides)
 
     def test_modality_mix_must_sum_to_one(self):

@@ -204,5 +204,5 @@ class TestStage1Train:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_tau_rejected(self, value):
-        with pytest.raises(ValueError, match="tau must be finite and > 0"):
+        with pytest.raises(ValueError, match="^tau must be a finite number"):
             ds.DistillConfig(tau=value)

@@ -1,0 +1,104 @@
+"""One type rule for every settings field: each settings dataclass runs
+fields.check_types on its annotations before its range checks."""
+
+import dataclasses
+
+import pytest
+
+from nanoembed import autodiff as ad
+from nanoembed import fields as fl
+from nanoembed.corpus import CorpusSpec
+from nanoembed.distill import DistillConfig
+from nanoembed.encoder import EncoderConfig, TeacherEncoder
+from nanoembed.gradcache import CachePlan
+from nanoembed.negatives import MinerConfig
+from nanoembed.optim import OptimizerSettings
+
+# Each settings class with keyword arguments that construct a valid instance.
+VALID = {
+    CorpusSpec: {},
+    EncoderConfig: {"input_dim": 6, "hidden_dim": 6, "embed_dim": 4},
+    DistillConfig: {},
+    MinerConfig: {},
+    OptimizerSettings: {},
+    CachePlan: {"effective_batch": 8, "sub_batch": 4},
+}
+
+# Annotation -> values a field so annotated must reject.
+REJECTED = {
+    "int": [True, "2", 2.0],
+    "float": [True, "2", float("nan"), float("inf"), -float("inf"), 10**400],
+    "tuple[int, int]": [True, "2", (2.0, 4), (2, 3, 4), 2],
+    "dict[str, float]": [True, "2", {"text": float("nan")}, {"text": True}, {"text": 10**400}],
+}
+
+# String fields that their class checks against a fixed set instead
+# (tests/test_optim.py covers the unknown-kind error).
+CHOICE_FIELDS = {(OptimizerSettings, "kind")}
+
+
+def rejection_cases():
+    for cls in VALID:
+        for f in dataclasses.fields(cls):
+            for value in REJECTED.get(f.type, []):
+                yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value!r:.20}")
+
+
+@pytest.mark.parametrize("cls, name, value", rejection_cases())
+def test_badly_typed_field_is_rejected_by_name(cls, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        cls(**{**VALID[cls], name: value})
+
+
+@pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
+def test_every_field_has_a_type_rule(cls):
+    unchecked = [
+        f"{f.name}: {f.type}"
+        for f in dataclasses.fields(cls)
+        if f.type not in REJECTED and (cls, f.name) not in CHOICE_FIELDS
+    ]
+    assert not unchecked, f"{cls.__name__} has fields no type rule covers: {unchecked}"
+
+
+def test_integer_in_float_field_stays_legal():
+    assert DistillConfig(tau=1).tau == 1
+    assert MinerConfig(beta=0, tau=2).beta == 0
+    assert OptimizerSettings(learning_rate=1, clip_norm=3).clip_norm == 3
+    assert CorpusSpec(noise_scale=1, view_mix=0, modality_mix={"text": 1}).view_mix == 0
+
+
+def test_json_list_stays_legal_for_a_pair():
+    assert CorpusSpec(seq_len_range=[2, 3]).seq_len_range == [2, 3]
+
+
+def test_first_bad_field_in_declaration_order_is_named():
+    with pytest.raises(ValueError, match=r"^tau must be a finite number, got True$"):
+        DistillConfig(tau=True, batch_size="x")
+
+
+def test_fields_of_other_annotations_pass():
+    @dataclasses.dataclass
+    class Named:  # annotations as strings, as under the package's `from __future__ import annotations`
+        label: "str"
+        size: "int"
+
+    fl.check_types(Named(label=5, size=3))
+    with pytest.raises(ValueError, match=r"^size must be an integer, got 3\.0$"):
+        fl.check_types(Named(label="x", size=3.0))
+
+
+@pytest.mark.parametrize("value", [10**400, True, "0.5", float("nan")])
+def test_check_tau_rejects_what_no_float_holds(value):
+    with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        ad.check_tau(value)
+
+
+def test_check_tau_returns_a_float():
+    assert ad.check_tau(2) == 2.0 and isinstance(ad.check_tau(2), float)
+
+
+@pytest.mark.parametrize("value", [True, "3", 10**400, float("nan")])
+def test_teacher_offset_scale_must_be_a_number(value):
+    config = EncoderConfig(**VALID[EncoderConfig])
+    with pytest.raises(ValueError, match="^offset_scale must be finite"):
+        TeacherEncoder(config, offset_scale=value)

@@ -66,6 +66,13 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match="^line 1: loss must be a number"):
             mt.read_trace(path)
 
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        huge = "9" * 400
+        path.write_text(f'{{"step": 0, "loss": {huge}, "grad_norm": 0.0, "false_neg_pct": 0, "duplication_rate": 0}}\n')
+        with pytest.raises(ValueError, match="^line 1: loss must be a number"):
+            mt.read_trace(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('\n{"step": 0, "loss": 1.0, "grad_norm": 0.0, "false_neg_pct": 0.0, "duplication_rate": 0.0}\n\n')
