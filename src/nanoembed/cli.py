@@ -31,7 +31,7 @@ from .encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from .fields import is_int, is_number
+from .fields import is_int
 from .metrics import StepMetrics, write_trace
 from .retrieval import evaluate_checkpoint
 
@@ -57,16 +57,14 @@ _SECTIONS = (
 class RunConfig:
     """Everything a command needs, resolved and validated at load time.
 
-    Exactly one of corpus_spec and corpus_path is set; a path is checked
+    corpus is generator settings or a corpus file path; a path is checked
     for existence when the config loads, not when the corpus is first read.
     gradcache_sub_batch is None unless the gradient cache is enabled.
     """
 
-    corpus_spec: CorpusSpec | None
-    corpus_path: Path | None
+    corpus: CorpusSpec | Path
     encoder: EncoderConfig
-    teacher: EncoderConfig
-    teacher_offset_scale: float
+    teacher: TeacherEncoder
     distill: DistillConfig
     miner: ng.MinerConfig
     optimizer: optim.OptimizerSettings
@@ -77,9 +75,9 @@ class RunConfig:
     output_dir: Path
 
     def load_corpus(self) -> Corpus:
-        if self.corpus_path is not None:
-            return read_corpus(self.corpus_path)
-        return generate(self.corpus_spec)
+        if isinstance(self.corpus, Path):
+            return read_corpus(self.corpus)
+        return generate(self.corpus)
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -125,7 +123,7 @@ def load_config(
     if not path.exists():
         raise ValueError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -147,41 +145,33 @@ def load_config(
         output_dir = out_override
 
     corpus_raw = _section(raw, "corpus")
-    corpus_spec: CorpusSpec | None = None
-    corpus_path: Path | None = None
     if "path" in corpus_raw:
         extras = sorted(set(corpus_raw) - {"path"})
         if extras:
             raise ValueError(f"corpus path cannot be combined with spec fields: {', '.join(extras)}")
         if not isinstance(corpus_raw["path"], str):
             raise ValueError(f"corpus path must be a string, got {corpus_raw['path']!r}")
-        corpus_path = Path(corpus_raw["path"])
-        if not corpus_path.exists():
-            raise ValueError(f"corpus path not found: {corpus_path}")
+        corpus = Path(corpus_raw["path"])
+        if not corpus.exists():
+            raise ValueError(f"corpus path not found: {corpus}")
     else:
-        corpus_spec = _build("corpus", CorpusSpec, corpus_raw)
+        corpus = _build("corpus", CorpusSpec, corpus_raw)
 
     encoder_raw = {**_ENCODER_DEFAULTS, **_section(raw, "encoder")}
     if "input_dim" not in encoder_raw:
-        if corpus_spec is None:
+        if isinstance(corpus, Path):
             raise ValueError("encoder input_dim is required when the corpus comes from a path")
-        encoder_raw["input_dim"] = corpus_spec.input_dim
+        encoder_raw["input_dim"] = corpus.input_dim
     encoder_raw.setdefault("seed", seed)
     encoder = _build("encoder", EncoderConfig, encoder_raw)
-    if corpus_spec is not None and corpus_spec.input_dim != encoder.input_dim:
-        raise ValueError(
-            f"encoder input_dim {encoder.input_dim} != corpus input_dim {corpus_spec.input_dim}"
-        )
+    if isinstance(corpus, CorpusSpec) and corpus.input_dim != encoder.input_dim:
+        raise ValueError(f"encoder input_dim {encoder.input_dim} != corpus input_dim {corpus.input_dim}")
 
     teacher_raw = _section(raw, "teacher")
-    offset_scale = teacher_raw.pop("offset_scale", 3.0)
-    if not is_number(offset_scale):
-        raise ValueError(f"teacher offset_scale must be a finite number, got {offset_scale!r}")
-    offset_scale = float(offset_scale)
-    if offset_scale < 0.0:
-        raise ValueError(f"teacher offset_scale must be >= 0, got {offset_scale}")
-    # The teacher shares the student's architecture unless told otherwise,
-    # but never its seed: an identical teacher makes distillation a no-op.
+    # offset_scale goes to TeacherEncoder, which holds its only default; the
+    # teacher shares the student's architecture unless told otherwise, but
+    # never its seed: an identical teacher makes distillation a no-op.
+    offset = {"offset_scale": teacher_raw.pop("offset_scale")} if "offset_scale" in teacher_raw else {}
     teacher_defaults = {
         "input_dim": encoder.input_dim,
         "hidden_dim": encoder.hidden_dim,
@@ -189,9 +179,10 @@ def load_config(
         "depth": encoder.depth,
         "seed": seed + 1000,
     }
-    teacher = _build("teacher", EncoderConfig, {**teacher_defaults, **teacher_raw})
+    teacher_config = _build("teacher", EncoderConfig, {**teacher_defaults, **teacher_raw})
+    teacher = _build("teacher", TeacherEncoder, {"config": teacher_config, **offset})
 
-    distill = _build("distill", DistillConfig, {"batch_size": 64, **_section(raw, "distill")})
+    distill = _build("distill", DistillConfig, _section(raw, "distill"))
     miner_raw = _section(raw, "miner")
     miner = _build("miner", ng.MinerConfig, miner_raw)
 
@@ -212,11 +203,9 @@ def load_config(
         raise ValueError(f"gradcache sub_batch must be a positive integer, got {sub_batch!r}")
 
     return RunConfig(
-        corpus_spec=corpus_spec,
-        corpus_path=corpus_path,
+        corpus=corpus,
         encoder=encoder,
         teacher=teacher,
-        teacher_offset_scale=offset_scale,
         distill=distill,
         miner=miner,
         optimizer=optimizer,
@@ -276,9 +265,8 @@ def _write_report(out_dir: Path, encoder: Encoder, corpus: Corpus) -> str:
 def cmd_stage1(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     corpus = cfg.load_corpus()
     encoder = Encoder(cfg.encoder)
-    teacher = TeacherEncoder(cfg.teacher, offset_scale=cfg.teacher_offset_scale)
     trace = stage1_train(
-        encoder, corpus, teacher, cfg.distill, cfg.optimizer, cfg.steps, seed=cfg.seed
+        encoder, corpus, cfg.teacher, cfg.distill, cfg.optimizer, cfg.steps, seed=cfg.seed
     )
     write_trace(cfg.output_dir / "trace.jsonl", trace)
     save_checkpoint(cfg.output_dir / "checkpoint.bin", encoder)

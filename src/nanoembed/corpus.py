@@ -95,6 +95,13 @@ class PairRecord:
     positive_id: str
     is_false_negative_planted: bool = False
 
+    def __post_init__(self):
+        if not isinstance(self.positive_id, str):
+            raise ValueError(f"positive must be a string, got {self.positive_id!r}")
+        if not isinstance(self.is_false_negative_planted, bool):
+            planted = self.is_false_negative_planted
+            raise ValueError(f"is_false_negative_planted must be true or false, got {planted!r}")
+
 
 class Corpus:
     """Candidate items plus query/positive pairs over them."""
@@ -262,7 +269,7 @@ def read_corpus(path) -> Corpus:
     items: list[ItemRecord] = []
     pairs: list[PairRecord] = []
     seen: set[str] = set()
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -286,9 +293,10 @@ def read_corpus(path) -> Corpus:
                     raise ValueError(f"line {line_number}: duplicate id {query.id!r}")
                 seen.add(query.id)
                 planted = obj.get("is_false_negative_planted", False)
-                if not isinstance(planted, bool):
-                    raise ValueError(f"line {line_number}: is_false_negative_planted must be true or false, got {planted!r}")
-                pairs.append(PairRecord(query, obj["positive"], planted))
+                try:
+                    pairs.append(PairRecord(query, obj["positive"], planted))
+                except ValueError as err:
+                    raise ValueError(f"line {line_number}: {err}") from err
             else:
                 raise ValueError(f"line {line_number}: unknown kind {obj['kind']!r}")
     return Corpus(items, pairs)

@@ -27,7 +27,7 @@ class DistillConfig:
     """Stage-1 knobs: softmax temperature and mini-batch size."""
 
     tau: float = 0.05
-    batch_size: int = 16
+    batch_size: int = 64
 
     def __post_init__(self):
         check_types(self)

@@ -21,7 +21,8 @@ class StepMetrics:
     """One training step: loss plus negative-mining diagnostics.
 
     Stages without mining report 0.0 for the mining fields; the schema
-    stays fixed across commands.
+    stays fixed across commands.  The step is a nonnegative int and every
+    other field a finite number, stored as a float.
     """
 
     step: int
@@ -31,9 +32,17 @@ class StepMetrics:
     duplication_rate: float = 0.0
 
     def __post_init__(self):
+        if not is_int(self.step):
+            raise ValueError(f"step must be an integer, got {self.step!r}")
         if self.step < 0:
             raise ValueError(f"step must be nonnegative, got {self.step}")
-        for name in ("loss", "grad_norm", "false_neg_pct", "duplication_rate"):
+        names = [f.name for f in fields(self)[1:]]
+        for name in names:
+            value = getattr(self, name)
+            if not (isinstance(value, float) or is_number(value)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        for name in names:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"step {self.step}: {name} must be finite, got {value}")
@@ -64,13 +73,8 @@ def read_trace(path: str | Path) -> list[StepMetrics]:
                 raise ValueError(f"line {line_number}: record is not an object")
             if set(raw) != set(names):
                 raise ValueError(f"line {line_number}: fields {sorted(raw)} != {sorted(names)}")
-            if not is_int(raw["step"]):
-                raise ValueError(f"line {line_number}: step must be an integer, got {raw['step']!r}")
-            for name in names[1:]:
-                if not (isinstance(raw[name], float) or is_number(raw[name])):
-                    raise ValueError(f"line {line_number}: {name} must be a number, got {raw[name]!r}")
             try:
-                records.append(StepMetrics(raw["step"], *(float(raw[name]) for name in names[1:])))
+                records.append(StepMetrics(**raw))
             except ValueError as exc:
                 raise ValueError(f"line {line_number}: {exc}") from exc
     return records

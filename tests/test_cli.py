@@ -1,9 +1,13 @@
 """Tests for the command-line surface: config loading, the five commands,
 rerun determinism, and the gradcache-equality guarantee."""
 
+import hashlib
 import json
+import os
 import statistics
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -92,9 +96,9 @@ class TestConfigLoading:
 
     def test_teacher_defaults_to_student_architecture_distinct_seed(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        assert cfg.teacher.hidden_dim == cfg.encoder.hidden_dim
-        assert cfg.teacher.embed_dim == cfg.encoder.embed_dim
-        assert cfg.teacher.seed != cfg.encoder.seed
+        assert cfg.teacher.config.hidden_dim == cfg.encoder.hidden_dim
+        assert cfg.teacher.config.embed_dim == cfg.encoder.embed_dim
+        assert cfg.teacher.config.seed != cfg.encoder.seed
 
     def test_missing_config_file_names_path(self, tmp_path):
         with pytest.raises(ValueError, match="config file not found: .*nowhere.json"):
@@ -584,6 +588,78 @@ class TestDamagedCorpus:
         err = capsys.readouterr().err
         assert err == f"error: line {bad + 1}: is_false_negative_planted must be true or false, got {flag!r}\n"
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("positive", [[1, 2], {"id": "c00-00"}, 5], ids=["list", "object", "int"])
+    def test_positive_must_be_a_string(self, tmp_path, capsys, positive):
+        corpus = tmp_path / "corpus.jsonl"
+        cp.write_corpus(corpus, cp.generate(cp.CorpusSpec(**CORPUS)))
+        lines = corpus.read_text().splitlines()
+        bad = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "pair")
+        lines[bad] = json.dumps({**json.loads(lines[bad]), "positive": positive})
+        corpus.write_text("\n".join(lines) + "\n")
+        config = write_config(
+            tmp_path, corpus={"path": str(corpus)}, encoder={"input_dim": 8, "hidden_dim": 16, "embed_dim": 8}
+        )
+        capsys.readouterr()
+        assert run("eval", "--config", config, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line {bad + 1}: positive must be a string, got {positive!r}\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
+class TestCorpusFromPath:
+    def test_runs_match_the_spec_runs_byte_for_byte(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        cp.write_corpus(corpus, cp.generate(cp.CorpusSpec(**CORPUS)))
+        configs = {
+            "spec": write_config(tmp_path, name="spec.json"),
+            "path": write_config(
+                tmp_path, name="path.json", corpus={"path": str(corpus)},
+                encoder={"input_dim": 8, "hidden_dim": 16, "embed_dim": 8},
+            ),
+        }
+        digests = {}
+        for source, config in configs.items():
+            out = tmp_path / source
+            assert run("stage1", "--config", config, "--out", out / "stage1") == 0
+            assert run(
+                "stage2", "--config", config, "--mode", "hard",
+                "--checkpoint", out / "stage1" / "checkpoint.bin", "--out", out / "stage2",
+            ) == 0
+            assert run(
+                "eval", "--config", config, "--checkpoint", out / "stage2" / "checkpoint.bin", "--out", out / "eval"
+            ) == 0
+            digests[source] = {
+                path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in out.rglob("*")
+                if path.is_file() and path.name != "run_info.json"
+            }
+        assert len(digests["spec"]) == 5
+        assert digests["path"] == digests["spec"]
+
+    def test_corpus_file_is_read_as_utf8_under_the_c_locale(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        cp.write_corpus(corpus, cp.generate(cp.CorpusSpec(**CORPUS)))
+        # write_corpus escapes non-ASCII ids, so write the raw UTF-8 bytes by hand.
+        corpus.write_bytes(corpus.read_text().replace('"c00-00"', '"c00-00\u00e9"').encode("utf-8"))
+        config = write_config(
+            tmp_path, corpus={"path": str(corpus)}, encoder={"input_dim": 8, "hidden_dim": 16, "embed_dim": 8}
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {
+            **os.environ,
+            "LC_ALL": "C",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONUTF8": "0",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-m", "nanoembed.cli", "eval", "--config", str(config), "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert '"c00-00\\u00e9"' in (out / "report.json").read_text()
 
 
 class TestAblate:

@@ -16,6 +16,15 @@ class TestStepMetrics:
         with pytest.raises(ValueError):
             mt.StepMetrics(step=0, loss=0.0, grad_norm=float("inf"))
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [((1.5, 0.0, 0.0), "step"), ((True, 0.0, 0.0), "step"), ((0, "x", 0.0), "loss"), ((0, 10**400, 0.0), "loss")],
+        ids=["step_fraction", "step_bool", "loss_string", "loss_huge_int"],
+    )
+    def test_rejects_wrong_types_naming_the_field(self, args, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            mt.StepMetrics(*args)
+
     def test_json_field_order_is_fixed(self):
         record = mt.StepMetrics(step=3, loss=0.5, grad_norm=1.25, false_neg_pct=12.5, duplication_rate=0.0)
         assert record.to_json() == (
@@ -72,6 +81,12 @@ class TestTraceFiles:
         path.write_text(f'{{"step": 0, "loss": {huge}, "grad_norm": 0.0, "false_neg_pct": 0, "duplication_rate": 0}}\n')
         with pytest.raises(ValueError, match="^line 1: loss must be a number"):
             mt.read_trace(path)
+
+    def test_integer_number_reads_back_as_float(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"step": 0, "loss": 1, "grad_norm": 0.0, "false_neg_pct": 0, "duplication_rate": 0}\n')
+        (record,) = mt.read_trace(path)
+        assert type(record.loss) is float and record.loss == 1.0
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "trace.jsonl"
