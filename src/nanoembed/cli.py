@@ -58,7 +58,8 @@ class RunConfig:
     """Everything a command needs, resolved and validated at load time.
 
     corpus is generator settings or a corpus file path; a path is checked
-    for existence when the config loads, not when the corpus is first read.
+    to name an existing file when the config loads, not when the corpus is
+    first read.
     gradcache_sub_batch is None unless the gradient cache is enabled.
     """
 
@@ -126,6 +127,8 @@ def load_config(
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config file {path} is not valid UTF-8: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"config root must be an object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - set(_SECTIONS))
@@ -154,6 +157,8 @@ def load_config(
         corpus = Path(corpus_raw["path"])
         if not corpus.exists():
             raise ValueError(f"corpus path not found: {corpus}")
+        if not corpus.is_file():
+            raise ValueError(f"corpus path is not a file: {corpus}")
     else:
         corpus = _build("corpus", CorpusSpec, corpus_raw)
 

@@ -142,10 +142,18 @@ class Corpus:
         return [self._index[pair.positive_id] for pair in self.pairs]
 
 
-def _draw_modality(rng: np.random.Generator, mix: dict[str, float]) -> str:
+def _modality_cdf(mix: dict[str, float]) -> tuple[list[str], np.ndarray]:
+    """Sorted modality names and the cdf Generator.choice builds from p."""
     names = sorted(mix)
     weights = np.array([mix[n] for n in names])
-    return names[int(rng.choice(len(names), p=weights / weights.sum()))]
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    return names, cdf
+
+
+def _draw_modality(rng: np.random.Generator, names: list[str], cdf: np.ndarray) -> str:
+    # Same stream and picks as rng.choice(len(names), p=...), without re-checking p.
+    return names[int(cdf.searchsorted(rng.random(), side="right"))]
 
 
 def _draw_features(
@@ -185,6 +193,7 @@ def generate(spec: CorpusSpec) -> Corpus:
     lo, hi = spec.seq_len_range
     query_view = _view(rng, dim, spec.view_mix)
     candidate_view = _view(rng, dim, spec.view_mix)
+    modality_names, modality_cdf = _modality_cdf(spec.modality_mix)
 
     centroids = []
     for _ in range(spec.n_groups):
@@ -199,10 +208,10 @@ def generate(spec: CorpusSpec) -> Corpus:
             latent = centroids[g] + rng.normal(size=dim) * (spec.pair_scale / np.sqrt(dim))
             q_len = int(rng.integers(lo, hi + 1))
             q_feats = _draw_features(rng, query_view @ latent, q_len, spec.noise_scale, dim)
-            q_modality = _draw_modality(rng, spec.modality_mix)
+            q_modality = _draw_modality(rng, modality_names, modality_cdf)
             c_len = int(rng.integers(lo, hi + 1))
             c_feats = _draw_features(rng, candidate_view @ latent, c_len, spec.noise_scale, dim)
-            c_modality = _draw_modality(rng, spec.modality_mix)
+            c_modality = _draw_modality(rng, modality_names, modality_cdf)
             query = ItemRecord(f"q{g:02d}-{j:02d}", q_modality, q_feats, group=group)
             positive = ItemRecord(f"c{g:02d}-{j:02d}", c_modality, c_feats, group=group)
             items.append(positive)
@@ -269,8 +278,13 @@ def read_corpus(path) -> Corpus:
     items: list[ItemRecord] = []
     pairs: list[PairRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    # Undecodable bytes come through as lone surrogates, so the bad line can be named.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_number, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ValueError(f"{path}: line {line_number}: not valid UTF-8: {err}") from None
             if not line.strip():
                 continue
             try:

@@ -188,7 +188,9 @@ class TeacherEncoder:
 
     Groupless items get the plain encoder output; grouped items are pulled
     toward a per-group unit direction before re-normalizing, which makes
-    same-group cosines exceed cross-group ones by construction.
+    same-group cosines exceed cross-group ones by construction. Each
+    group's direction is computed on its first use and then held,
+    read-only, for the life of the teacher.
     """
 
     def __init__(self, config: EncoderConfig, offset_scale: float = 3.0):
@@ -197,9 +199,15 @@ class TeacherEncoder:
         self.config = config
         self.offset_scale = float(offset_scale)
         self._encoder = Encoder(config)
+        self._directions: dict[str, np.ndarray] = {}
 
     def group_direction(self, group: str) -> np.ndarray:
-        return _group_direction(self.config.seed, group, self.config.embed_dim)
+        direction = self._directions.get(group)
+        if direction is None:
+            direction = _group_direction(self.config.seed, group, self.config.embed_dim)
+            direction.flags.writeable = False
+            self._directions[group] = direction
+        return direction
 
     def encode(self, items: Sequence[ItemRecord]) -> EmbeddingBatch:
         base = self._encoder.encode(items, record=False).values
@@ -207,7 +215,8 @@ class TeacherEncoder:
         for i, it in enumerate(items):
             if it.group is not None and self.offset_scale > 0.0:
                 shifted = base[i] + self.offset_scale * self.group_direction(it.group)
-                out[i] = shifted / np.linalg.norm(shifted)
+                # Bit for bit what np.linalg.norm computes for a 1-D float64 vector.
+                out[i] = shifted / np.sqrt(shifted.dot(shifted))
         return EmbeddingBatch([it.id for it in items], ad.constant(out))
 
 

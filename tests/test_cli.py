@@ -110,6 +110,16 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match="not valid JSON"):
             load_config(path)
 
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(json.dumps(base_config(output_dir="runs-X")).encode().replace(b"X", b"\xff"))
+        capsys.readouterr()
+        assert run("stage1", "--config", config, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config} is not valid UTF-8: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = write_config(tmp_path, optimzer={"steps": 5})
         with pytest.raises(ValueError, match="unknown config keys: optimzer"):
@@ -605,6 +615,31 @@ class TestDamagedCorpus:
         err = capsys.readouterr().err
         assert err == f"error: line {bad + 1}: positive must be a string, got {positive!r}\n"
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_non_utf8_corpus_names_file_and_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        cp.write_corpus(corpus, cp.generate(cp.CorpusSpec(**CORPUS)))
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"c00-', b'"\xff\xfe-', 1)
+        corpus.write_bytes(b"".join(lines))
+        config = write_config(
+            tmp_path, corpus={"path": str(corpus)}, encoder={"input_dim": 8, "hidden_dim": 16, "embed_dim": 8}
+        )
+        capsys.readouterr()
+        assert run("eval", "--config", config, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}: line 3: not valid UTF-8: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_directory_as_corpus_path_fails_before_the_output_exists(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, corpus={"path": str(tmp_path)}, encoder={"input_dim": 8, "hidden_dim": 16, "embed_dim": 8}
+        )
+        capsys.readouterr()
+        assert run("eval", "--config", config, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: corpus path is not a file: {tmp_path}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestCorpusFromPath:

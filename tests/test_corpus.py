@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nanoembed import corpus as cp
 from nanoembed import encoder as enc
@@ -128,6 +130,26 @@ class TestGenerate:
         corpus = cp.generate(spec)
         frac_text = np.mean([it.modality == "text" for it in corpus.items])
         assert 0.35 < frac_text < 0.65
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mix=st.dictionaries(
+            st.sampled_from(enc.MODALITIES),
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_modality_draw_matches_generator_choice(self, mix, seed):
+        assume(sum(mix.values()) > 0.0)
+        names, cdf = cp._modality_cdf(mix)
+        weights = np.array([mix[n] for n in names])
+        drawn, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            expected = names[int(chosen.choice(len(names), p=weights / weights.sum()))]
+            assert cp._draw_modality(drawn, names, cdf) == expected
+        assert drawn.bit_generator.state == chosen.bit_generator.state
 
     def test_planted_sits_closer_to_query_than_positive_in_teacher_space(self):
         # the property the similarity-threshold filter relies on

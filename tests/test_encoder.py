@@ -1,5 +1,6 @@
 """Tests for the student encoder, frozen teacher, fusion, and checkpoints."""
 
+import dataclasses
 import json
 import struct
 
@@ -250,6 +251,51 @@ class TestTeacher:
         assert np.array_equal(d1, d2)
         assert np.linalg.norm(d1) == pytest.approx(1.0, abs=1e-12)
         assert not np.array_equal(d1, teacher.group_direction("beta"))
+
+    @pytest.mark.parametrize("offset_scale", [0.0, 3.0])
+    def test_encode_equals_the_per_row_oracle(self, offset_scale):
+        rng = np.random.default_rng(5)
+        items = self.grouped_items(rng) + make_items(rng, 3, CFG.input_dim, prefix="free")
+        rng.shuffle(items)
+        teacher = enc.TeacherEncoder(CFG, offset_scale=offset_scale)
+        base = enc.Encoder(CFG).encode(items, record=False).values
+        expected = base.copy()
+        for i, it in enumerate(items):
+            if it.group is not None and offset_scale > 0.0:
+                shifted = base[i] + offset_scale * enc._group_direction(CFG.seed, it.group, CFG.embed_dim)
+                expected[i] = shifted / np.linalg.norm(shifted)
+        for _ in range(2):  # the second pass reads the held directions
+            assert (teacher.encode(items).values == expected).all()
+
+    def test_group_direction_is_held_read_only(self):
+        teacher = enc.TeacherEncoder(CFG)
+        direction = teacher.group_direction("alpha")
+        assert teacher.group_direction("alpha") is direction
+        assert not direction.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            direction[0] = 0.0
+
+    def test_each_group_direction_is_computed_once(self, monkeypatch):
+        calls = []
+        compute = enc._group_direction
+
+        def counting(seed, group, embed_dim):
+            calls.append(group)
+            return compute(seed, group, embed_dim)
+
+        monkeypatch.setattr(enc, "_group_direction", counting)
+        items = self.grouped_items(np.random.default_rng(6))
+        teacher = enc.TeacherEncoder(CFG)
+        for _ in range(3):
+            teacher.encode(items)
+        assert sorted(calls) == ["g0", "g1", "g2"]
+
+    def test_teachers_with_different_seeds_hold_their_own_directions(self):
+        first = enc.TeacherEncoder(CFG)
+        second = enc.TeacherEncoder(dataclasses.replace(CFG, seed=CFG.seed + 1))
+        a, b = first.group_direction("alpha"), second.group_direction("alpha")
+        assert a is not b and not np.array_equal(a, b)
+        assert np.array_equal(b, enc._group_direction(CFG.seed + 1, "alpha", CFG.embed_dim))
 
 
 class TestFusion:
