@@ -12,10 +12,12 @@ from typing import IO, Iterator
 def atomic_open(path, mode: str = "w") -> Iterator[IO]:
     """Open a temp file beside path for writing; replace path with it on success.
 
-    mode is "w" (UTF-8 text) or "wb". If the block raises, the temp file is
-    removed and whatever was at path before is left untouched.
+    mode is "w" (UTF-8 text) or "wb". The parent directory is made first
+    if it is missing. If the block raises, the temp file is removed and
+    whatever was at path before is left untouched.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as handle:

@@ -10,6 +10,7 @@ config's seed and output directory.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 import time
@@ -39,6 +40,11 @@ from .retrieval import evaluate_checkpoint
 _ENCODER_DEFAULTS = {"hidden_dim": 64, "embed_dim": 32}
 _GRADCACHE_DEFAULTS = {"enabled": False, "sub_batch": 8}
 _DEFAULT_STEPS = 1000
+# glibc mallopt parameters (malloc.h) and the values main sets them to.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD_BYTES = 128 << 20
+_MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest on 64-bit
 _SECTIONS = (
     "corpus",
     "encoder",
@@ -146,6 +152,12 @@ def load_config(
         raise ValueError(f"output_dir must be a string, got {output_dir!r}")
     if out_override is not None:
         output_dir = out_override
+    # The first artifact write makes the directory; a file in its way must
+    # stop the command before it trains, not after.
+    output_dir = Path(output_dir)
+    existing = next(p for p in (output_dir, *output_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"output_dir {output_dir}: {existing} is not a directory")
 
     corpus_raw = _section(raw, "corpus")
     if "path" in corpus_raw:
@@ -218,7 +230,7 @@ def load_config(
         gradcache_sub_batch=sub_batch if enabled else None,
         sweep=_load_sweep(raw, miner_raw),
         seed=seed,
-        output_dir=Path(output_dir),
+        output_dir=output_dir,
     )
 
 
@@ -397,12 +409,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_heap() -> None:
+    """Keep freed blocks of up to 32 MiB in glibc's heap for reuse.
+
+    A stage-2 step allocates and frees several n x m arrays above glibc's
+    default 128 KB mmap threshold. glibc hands each back to the kernel and
+    the next step faults it in again; raising only one of the two
+    thresholds leaves those faults in place. The values an array holds do
+    not depend on where it lives. Without glibc's mallopt this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; 0 on success, 2 with one error: line on bad input.
+
+    The output directory is made by the first artifact write, so an input
+    that fails to load leaves none behind. main first sets glibc's malloc
+    thresholds for the whole process (_keep_heap); run in-process, as
+    under pytest, that setting outlives the call.
+    """
+    _keep_heap()
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
         cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
         outputs = COMMAND_TABLE[args.command][0](cfg, args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -313,4 +313,6 @@ def read_corpus(path) -> Corpus:
                     raise ValueError(f"line {line_number}: {err}") from err
             else:
                 raise ValueError(f"line {line_number}: unknown kind {obj['kind']!r}")
+    if not items and not pairs:
+        raise ValueError(f"{path}: no records")
     return Corpus(items, pairs)

@@ -28,6 +28,13 @@ def test_failed_first_write_leaves_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_missing_parent_directories_are_made(tmp_path):
+    with atomic_open(tmp_path / "a" / "b" / "artifact") as handle:
+        handle.write("done\n")
+    assert (tmp_path / "a" / "b" / "artifact").read_text() == "done\n"
+    assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == ["artifact"]
+
+
 class _BrokenEncoder:
     """Writes its first array, then fails on the second."""
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nanoembed import cli
 from nanoembed import corpus as cp
 from nanoembed import gradcache as gc
 from nanoembed import infonce as nce
@@ -823,3 +824,61 @@ class TestRunInfo:
         for line in (out / "trace.jsonl").read_text().splitlines():
             record = json.loads(line)
             assert set(record) == {"step", "loss", "grad_norm", "false_neg_pct", "duplication_rate"}
+
+
+class TestBadInputLeavesNoOutput:
+    """A command whose input fails to load exits 2 with one error: line and
+    makes no output directory: the first artifact write makes it."""
+
+    def assert_clean_failure(self, capsys, out, *args):
+        capsys.readouterr()
+        assert run(*args, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("command", ["eval", "stage1", "stage2"])
+    def test_empty_corpus_file(self, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("")
+        config = write_config(
+            tmp_path, corpus={"path": str(corpus)}, encoder={"input_dim": 8, "hidden_dim": 16, "embed_dim": 8}
+        )
+        err = self.assert_clean_failure(capsys, tmp_path / "out", command, "--config", config)
+        assert err == f"error: {corpus}: no records\n"
+
+    def test_ablate_without_sweep(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        err = self.assert_clean_failure(capsys, tmp_path / "out", "ablate", "--config", config)
+        assert "sweep" in err
+
+    @pytest.mark.parametrize("command", ["eval", "stage2"])
+    def test_missing_checkpoint(self, tmp_path, capsys, command):
+        config = write_config(tmp_path)
+        ghost = tmp_path / "ghost.bin"
+        err = self.assert_clean_failure(
+            capsys, tmp_path / "out", command, "--config", config, "--checkpoint", ghost
+        )
+        assert err == f"error: checkpoint not found: {ghost}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "stage2"])
+    def test_truncated_checkpoint(self, tmp_path, capsys, command):
+        config, checkpoint = make_stage1_checkpoint(tmp_path)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(checkpoint.read_bytes()[:-100])
+        err = self.assert_clean_failure(
+            capsys, tmp_path / "out", command, "--config", config, "--checkpoint", bad
+        )
+        assert "bad.bin" in err
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under_file"])
+    def test_output_dir_in_the_way_of_a_file(self, tmp_path, capsys, monkeypatch, below):
+        monkeypatch.setattr(cli.nce, "stage2_train", lambda *args, **kwargs: pytest.fail("trained"))
+        blocker = tmp_path / "out"
+        blocker.write_text("keep\n")
+        out = blocker.joinpath(*below)
+        capsys.readouterr()
+        assert run("stage2", "--config", write_config(tmp_path), "--out", out) == 2
+        assert capsys.readouterr().err == f"error: output_dir {out}: {blocker} is not a directory\n"
+        assert blocker.read_text() == "keep\n"

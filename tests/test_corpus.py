@@ -273,6 +273,14 @@ class TestCorpusRoundTrip:
         with pytest.raises(ValueError, match="references missing positive 'ghost'"):
             cp.read_corpus(path)
 
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\n\t\n"], ids=["empty", "newline", "blank_lines"])
+    def test_file_without_records_names_the_file(self, tmp_path, text):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            cp.read_corpus(path)
+        assert str(err.value) == f"{path}: no records"
+
     def test_blank_lines_are_ignored(self, tmp_path):
         corpus = cp.generate(SPEC)
         path = tmp_path / "corpus.jsonl"
