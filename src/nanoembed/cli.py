@@ -234,6 +234,20 @@ def load_config(
     )
 
 
+def _mining_corpus(cfg: RunConfig, ks: list[int]) -> Corpus:
+    """The corpus, once no k the command mines with exceeds its candidates.
+
+    The library cycles through the pool when k is larger, but it builds
+    n x k arrays, so a k far past the pool would exhaust memory.
+    """
+    corpus = cfg.load_corpus()
+    m = len(corpus.items)
+    for k in ks:
+        if k > m:
+            raise ValueError(f"miner k={k} exceeds the corpus's {m} candidate items")
+    return corpus
+
+
 def _starting_encoder(cfg: RunConfig, checkpoint: str | None) -> Encoder:
     if checkpoint is None:
         return Encoder(cfg.encoder)
@@ -291,7 +305,7 @@ def cmd_stage1(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
 
 
 def cmd_stage2(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
-    corpus = cfg.load_corpus()
+    corpus = _mining_corpus(cfg, [cfg.miner.k])
     encoder = _starting_encoder(cfg, args.checkpoint)
     if cfg.gradcache_sub_batch is not None:
         trace = _stage2_cached(
@@ -329,7 +343,7 @@ def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     if cfg.sweep is None:
         raise ValueError("ablate needs a 'sweep' section with 'beta' or 'k' values")
     (name, values), = cfg.sweep.items()
-    corpus = cfg.load_corpus()
+    corpus = _mining_corpus(cfg, values if name == "k" else [cfg.miner.k])
 
     # Filter and sampling rates are measured on the fixed starting encoder;
     # precision@1 comes from a fresh short run per sweep value.
@@ -357,7 +371,7 @@ def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
 
 
 def cmd_tracegrad(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
-    corpus = cfg.load_corpus()
+    corpus = _mining_corpus(cfg, [cfg.miner.k])
     outputs = []
     for mode in ng.NEGATIVE_MODES:
         encoder = _starting_encoder(cfg, args.checkpoint)

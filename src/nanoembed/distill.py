@@ -17,7 +17,7 @@ from . import autodiff as ad
 from . import optim
 from .autodiff import Tensor
 from .corpus import Corpus
-from .encoder import EmbeddingBatch, Encoder, TeacherEncoder
+from .encoder import EmbeddingBatch, Encoder, NonUnitRowError, TeacherEncoder
 from .fields import check_types
 from .metrics import StepMetrics
 
@@ -85,7 +85,10 @@ def stage1_train(
     for step in range(steps):
         picks = rng.choice(len(pool), size=batch_size, replace=False)
         items = [pool[int(i)] for i in picks]
-        student = encoder.encode(items)
+        try:
+            student = encoder.encode(items)
+        except NonUnitRowError as exc:
+            raise ValueError(f"step {step}: {exc}") from None
         frozen = teacher.encode(items)
         loss = kl_distillation_loss(student, frozen, config.tau)
         optim.zero_grads(params)

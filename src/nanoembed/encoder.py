@@ -78,6 +78,11 @@ class ItemRecord:
         self.features = arr
 
 
+class NonUnitRowError(ValueError):
+    """An embedding row is not unit-norm: in an encoder's output, the
+    forward pass overflowed."""
+
+
 class EmbeddingBatch:
     """Unit-norm embedding rows keyed by unique item ids."""
 
@@ -92,7 +97,7 @@ class EmbeddingBatch:
         norms = np.linalg.norm(matrix.values, axis=1)
         if not (np.abs(norms - 1.0) <= 1e-10).all():
             bad = int(np.abs(norms - 1.0).argmax())
-            raise ValueError(f"row {bad} has norm {norms[bad]!r}, expected 1 within 1e-10")
+            raise NonUnitRowError(f"row {bad} has norm {norms[bad]}, expected 1 within 1e-10")
         self.ids = ids
         self.matrix = matrix
 
@@ -159,6 +164,8 @@ class Encoder:
         Position-local layers mean only the final position can affect the
         output, so only that position is computed. With record=False the
         parameters enter the graph as constants and no gradients flow.
+        Weights that overflow the forward pass raise NonUnitRowError, with
+        no floating-point warning before it.
         """
         items = list(items)
         if not items:
@@ -173,7 +180,9 @@ class Encoder:
                 )
         x = ad.constant(np.stack([it.features[-1] for it in items]))
         weights = [p.tensor if record else ad.constant(p.values) for p in self._params]
-        return EmbeddingBatch([it.id for it in items], _forward(x, weights, self.config.depth))
+        with np.errstate(over="ignore", invalid="ignore"):
+            embedded = _forward(x, weights, self.config.depth)
+        return EmbeddingBatch([it.id for it in items], embedded)
 
 
 def _group_direction(seed: int, group: str, embed_dim: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from . import negatives as ng
 from . import optim
 from .autodiff import Tensor
 from .corpus import Corpus
-from .encoder import Encoder
+from .encoder import Encoder, NonUnitRowError
 from .gradcache import CachePlan, ContrastiveObjective, cached_step
 from .metrics import StepMetrics
 from .negatives import NEGATIVE_MODES
@@ -156,17 +156,20 @@ def stage2_train(
             n_queries=len(queries), positives=tuple(all_positives[picks]), config=config,
             mode=negative_mode, seed=rng,
         )
-        if sub_batch is None:
-            batch_loss = objective.loss_between(
-                encoder.encode(queries).matrix, encoder.encode(corpus.items).matrix
-            )
-            optim.zero_grads(params)
-            ad.backward(batch_loss)
-            loss = batch_loss.item()
-        else:
-            items = queries + list(corpus.items)
-            plan = CachePlan(effective_batch=len(items), sub_batch=min(sub_batch, len(items)))
-            _, loss, _ = cached_step(encoder, items, objective, plan)
+        try:
+            if sub_batch is None:
+                batch_loss = objective.loss_between(
+                    encoder.encode(queries).matrix, encoder.encode(corpus.items).matrix
+                )
+                optim.zero_grads(params)
+                ad.backward(batch_loss)
+                loss = batch_loss.item()
+            else:
+                items = queries + list(corpus.items)
+                plan = CachePlan(effective_batch=len(items), sub_batch=min(sub_batch, len(items)))
+                _, loss, _ = cached_step(encoder, items, objective, plan)
+        except NonUnitRowError as exc:
+            raise ValueError(f"step {step}: {exc}") from None
         grad_norm = optim.clip_global_norm(params, settings.clip_norm)
         optimizer.step(params)
         trace.append(StepMetrics(step, loss, grad_norm, *objective.selection_rates))

@@ -32,15 +32,23 @@ def rank_scores(scores: np.ndarray) -> list[int]:
 def rank_candidates(q_row: np.ndarray, candidates: EmbeddingBatch) -> np.ndarray:
     """Candidate indices ordered by cosine similarity to the query.
 
-    The same order as rank_scores of the same scores: the stable sort keeps
-    tied candidates in ascending index order.
+    The same order as rank_scores of the same scores.  numpy's default
+    (unstable, SIMD) sort runs first; when its sorted keys rise strictly,
+    every key is distinct and the order is unique.  A row with a tie or a
+    NaN fails that test (NaN compares false) and is re-sorted stably,
+    which keeps tied candidates in ascending index order.
     """
     if len(candidates) == 0:
         raise ValueError("no candidates to rank")
     q = np.asarray(q_row, dtype=np.float64).reshape(-1)
     if q.size != candidates.dim:
         raise ValueError(f"query width {q.size} != candidate width {candidates.dim}")
-    return np.argsort(-(candidates.values @ q), kind="stable")
+    keys = -(candidates.values @ q)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if (ranked[1:] > ranked[:-1]).all():
+        return order
+    return np.argsort(keys, kind="stable")
 
 
 def _hit_counts(hits: np.ndarray, k: int) -> np.ndarray:

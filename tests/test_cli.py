@@ -26,6 +26,8 @@ from nanoembed.retrieval import RetrievalReport
 
 
 CORPUS = {"seed": 3, "n_groups": 4, "items_per_group": 4, "input_dim": 8}
+# One unclipped update that leaves the weights finite, too large for the next forward pass.
+DIVERGENT_SGD = {"kind": "sgd", "learning_rate": 1e300, "clip_norm": 1e300, "steps": 12}
 
 
 def base_config(**overrides):
@@ -292,6 +294,14 @@ class TestStage1:
         losses = [m.loss for m in read_trace(out / "trace.jsonl")]
         assert statistics.mean(losses[-10:]) < statistics.mean(losses[:10])
 
+    def test_overflowing_forward_pass_names_its_step(self, tmp_path, capsys):
+        config = write_config(tmp_path, optimizer=DIVERGENT_SGD)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("stage1", "--config", config, "--out", tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == "error: step 1: row 0 has norm nan, expected 1 within 1e-10\n"
+
     def test_missing_corpus_path_exits_with_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path, corpus={"path": "ghost.jsonl"})
         assert run("stage1", "--config", config, "--out", tmp_path / "out") == 2
@@ -405,6 +415,19 @@ class TestStage2:
             code = run("stage2", "--config", config, "--checkpoint", checkpoint, "--out", tmp_path / "out")
         assert code == 2
         assert capsys.readouterr().err == "error: step 0: grad_norm must be finite, got inf\n"
+
+    @pytest.mark.parametrize("gradcache", [{"enabled": False}, {"enabled": True, "sub_batch": 5}],
+                             ids=["naive", "cached"])
+    def test_overflowing_forward_pass_names_its_step(self, tmp_path, capsys, gradcache):
+        # Update 0 leaves the weights finite but near 1e301; the forward pass of step 1 overflows.
+        _, checkpoint = make_stage1_checkpoint(tmp_path)
+        config = write_config(tmp_path, optimizer=DIVERGENT_SGD, gradcache=gradcache)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("stage2", "--config", config, "--checkpoint", checkpoint, "--out", tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == "error: step 1: row 0 has norm nan, expected 1 within 1e-10\n"
 
     def test_fused_items_are_usage_error(self, tmp_path, capsys):
         corpus = {**CORPUS, "seq_len_range": [2, 4], "modality_mix": {"text": 0.5, "fused": 0.5}}
@@ -847,6 +870,22 @@ class TestBadInputLeavesNoOutput:
         )
         err = self.assert_clean_failure(capsys, tmp_path / "out", command, "--config", config)
         assert err == f"error: {corpus}: no records\n"
+
+    @pytest.mark.parametrize(
+        "command, k, sweep",
+        [
+            ("stage2", 17, None),
+            ("tracegrad", 17, None),
+            ("ablate", 17, {"beta": [0.1]}),
+            ("ablate", 4, {"k": [2, 17]}),
+        ],
+        ids=["stage2", "tracegrad", "ablate", "ablate_swept_k"],
+    )
+    def test_k_above_the_candidate_count(self, tmp_path, capsys, monkeypatch, command, k, sweep):
+        monkeypatch.setattr(Encoder, "encode", lambda *args, **kwargs: pytest.fail("encoded"))
+        config = write_config(tmp_path, miner={"beta": 0.1, "k": k}, sweep=sweep)
+        err = self.assert_clean_failure(capsys, tmp_path / "out", command, "--config", config)
+        assert err == "error: miner k=17 exceeds the corpus's 16 candidate items\n"
 
     def test_ablate_without_sweep(self, tmp_path, capsys):
         config = write_config(tmp_path)

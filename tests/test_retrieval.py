@@ -32,6 +32,16 @@ def batch_from_rows(rows, prefix):
     return enc.EmbeddingBatch([f"{prefix}{i}" for i in range(len(rows))], ad.constant(rows))
 
 
+def scored_candidates(scores):
+    """Candidates that score exactly `scores` against SCORING_QUERY."""
+    rows = np.array([[s, np.sqrt(1.0 - s * s)] for s in scores])
+    return enc.EmbeddingBatch([f"c{j}" for j in range(len(rows))], ad.constant(rows))
+
+
+# (1, -0) keeps the sign of a zero score: s * 1 + y * -0.0 == s.
+SCORING_QUERY = np.array([1.0, -0.0])
+
+
 class TestRankScores:
     def test_hand_checked_order(self):
         assert rt.rank_scores(np.array([0.2, 0.9, 0.5])) == [1, 2, 0]
@@ -84,13 +94,60 @@ class TestRankCandidates:
     @given(st.lists(st.sampled_from([round(0.1 * i, 1) for i in range(-10, 11)] + [-0.0]),
                     min_size=1, max_size=40))
     def test_matches_rank_scores_oracle(self, grid_scores):
-        # Row (s, sqrt(1 - s^2)) against q = (1, -0) scores exactly s, keeping the sign of a zero.
-        rows = np.array([[s, np.sqrt(1.0 - s * s)] for s in grid_scores])
-        candidates = enc.EmbeddingBatch([f"c{j}" for j in range(len(rows))], ad.constant(rows))
-        q = np.array([1.0, -0.0])
-        order = rt.rank_candidates(q, candidates)
+        candidates = scored_candidates(grid_scores)
+        order = rt.rank_candidates(SCORING_QUERY, candidates)
         assert order.dtype == np.intp
-        assert order.tolist() == rt.rank_scores(candidates.values @ q)
+        assert order.tolist() == rt.rank_scores(candidates.values @ SCORING_QUERY)
+
+
+def assert_matches_oracle(q, candidates):
+    assert rt.rank_candidates(q, candidates).tolist() == rt.rank_scores(candidates.values @ q)
+
+
+class TestRankCandidatesAtEvalScale:
+    """rank_candidates against the rank_scores oracle at eval-sized pools.
+
+    The default sort is not stable at these sizes, so a row with tied or NaN
+    scores must take the stable re-sort to match.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(200, 2048), st.integers(0, 2**32 - 1))
+    def test_grid_scores_tie(self, m, seed):
+        scores = np.random.default_rng(seed).integers(-10, 11, size=m) / 10
+        assert len(np.unique(scores)) < m
+        assert_matches_oracle(SCORING_QUERY, scored_candidates(scores))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(200, 2048), st.integers(0, 2**32 - 1))
+    def test_continuous_scores_take_the_fast_path(self, m, seed):
+        rng = np.random.default_rng(seed)
+        candidates = unit_batch(rng, m, 8, "c")
+        q = rng.normal(size=8)
+        assert len(np.unique(candidates.values @ q)) == m
+        assert_matches_oracle(q, candidates)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(200, 2048), st.integers(0, 2**32 - 1))
+    def test_signed_zero_pair_ties(self, m, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.uniform(-1.0, 1.0, size=m)
+        i, j = rng.choice(m, size=2, replace=False)
+        scores[i], scores[j] = -0.0, 0.0
+        assert_matches_oracle(SCORING_QUERY, scored_candidates(scores))
+        assert_matches_oracle(SCORING_QUERY, scored_candidates(-0.0 * np.ones(m)))
+
+    @pytest.mark.parametrize("q", [[np.nan, 0.0], [np.inf, 0.0], [-np.inf, 1.0]])
+    @pytest.mark.parametrize("m", [200, 2048])
+    def test_non_finite_query(self, q, m):
+        # A NaN query scores NaN everywhere; an infinite one scores +-inf,
+        # and NaN where it meets a zero coordinate.
+        rng = np.random.default_rng(m)
+        rows = rng.normal(size=(m, 2))
+        rows[::7, 0] = 0.0
+        candidates = batch_from_rows(rows, "c")
+        with np.errstate(invalid="ignore"):
+            assert_matches_oracle(np.array(q), candidates)
 
 
 def hit_matrix(orders, positives):
@@ -219,6 +276,21 @@ class TestEvaluateCheckpoint:
         item_ids = sorted(it.id for it in corpus.items)
         for ids in report.ranked.values():
             assert sorted(ids) == item_ids
+
+    def test_duplicate_items_rank_like_the_oracle(self):
+        # 240 candidates from 6 feature rows: every score ties with 39 others.
+        rng = np.random.default_rng(12)
+        templates = rng.normal(size=(6, 1, 5))
+        items = [item(f"i{j:03d}", templates[j % 6]) for j in range(240)]
+        pairs = [cp.PairRecord(item(f"q{i}", rng.normal(size=(1, 5))), f"i{i:03d}") for i in range(8)]
+        corpus = cp.Corpus(items, pairs)
+        encoder = enc.Encoder(enc.EncoderConfig(5, 8, 4, seed=3))
+        report = rt.evaluate_checkpoint(encoder, corpus, ks=(1, 5))
+        queries = enc.embed_items(encoder, [pair.query for pair in pairs])
+        candidates = enc.embed_items(encoder, items)
+        assert len(np.unique(candidates.values, axis=0)) == 6
+        for row, q in zip(report.order, queries.values):
+            assert row.tolist() == rt.rank_scores(candidates.values @ q)
 
 
 def test_plain_item_named_like_a_fused_half_is_kept_apart():
