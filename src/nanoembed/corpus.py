@@ -126,6 +126,9 @@ class Corpus:
         return self.items[self._index[item_id]]
 
     def queries(self) -> list[ItemRecord]:
+        """Every pair's query, in pair order; a corpus without pairs raises."""
+        if not self.pairs:
+            raise ValueError("corpus has no query/positive pairs")
         return [pair.query for pair in self.pairs]
 
     def text_items(self) -> list[ItemRecord]:

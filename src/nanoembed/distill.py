@@ -17,7 +17,7 @@ from . import autodiff as ad
 from . import optim
 from .autodiff import Tensor
 from .corpus import Corpus
-from .encoder import EmbeddingBatch, Encoder, NonUnitRowError, TeacherEncoder
+from .encoder import EmbeddingBatch, Encoder, ItemRows, NonUnitRowError, TeacherEncoder
 from .fields import check_types
 from .metrics import StepMetrics
 
@@ -78,22 +78,23 @@ def stage1_train(
     if len(pool) < 2:
         raise ValueError(f"need at least 2 text items to distill, found {len(pool)}")
     batch_size = min(config.batch_size, len(pool))
+    rows = ItemRows.of(pool, encoder.config.input_dim)
     rng = np.random.default_rng(seed)
     params = encoder.parameters()
     optimizer = optim.make_optimizer(settings)
     trace: list[StepMetrics] = []
     for step in range(steps):
-        picks = rng.choice(len(pool), size=batch_size, replace=False)
-        items = [pool[int(i)] for i in picks]
+        batch = rows.take(rng.choice(len(pool), size=batch_size, replace=False))
         try:
-            student = encoder.encode(items)
+            student = encoder.encode(batch)
         except NonUnitRowError as exc:
             raise ValueError(f"step {step}: {exc}") from None
-        frozen = teacher.encode(items)
+        frozen = teacher.encode(batch)
         loss = kl_distillation_loss(student, frozen, config.tau)
         optim.zero_grads(params)
         ad.backward(loss)
         grad_norm = optim.clip_global_norm(params, settings.clip_norm)
         optimizer.step(params)
+        optim.check_finite(params, step)
         trace.append(StepMetrics(step=step, loss=loss.item(), grad_norm=grad_norm))
     return trace

@@ -78,6 +78,44 @@ class ItemRecord:
         self.features = arr
 
 
+@dataclass(frozen=True)
+class ItemRows:
+    """Items stacked once for the encoders: ids and groups as object arrays,
+    and the last feature rows, the only ones an embedding reads (n x
+    input_dim). take gathers rows by index; rows[a:b] is a view."""
+
+    ids: np.ndarray
+    groups: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, items: Sequence[ItemRecord], input_dim: int) -> ItemRows:
+        items = list(items)
+        if not items:
+            raise ValueError("cannot encode an empty batch")
+        for it in items:
+            if it.modality == "fused":
+                raise ValueError(f"item {it.id!r} is fused; stage-2 training takes text and image items only")
+            if it.features.shape[1] != input_dim:
+                raise ValueError(
+                    f"item {it.id!r} has feature width {it.features.shape[1]}, encoder expects {input_dim}"
+                )
+        return cls(
+            np.array([it.id for it in items], dtype=object),
+            np.array([it.group for it in items], dtype=object),
+            np.stack([it.features[-1] for it in items]),
+        )
+
+    def take(self, indices: Sequence[int] | np.ndarray) -> ItemRows:
+        return self[np.asarray(indices, dtype=np.intp)]
+
+    def __getitem__(self, rows: slice | np.ndarray) -> ItemRows:
+        return ItemRows(self.ids[rows], self.groups[rows], self.values[rows])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 class NonUnitRowError(ValueError):
     """An embedding row is not unit-norm: in an encoder's output, the
     forward pass overflowed."""
@@ -158,8 +196,8 @@ class Encoder:
                 raise ValueError(f"{p.name}: shape {values.shape} does not fit {p.values.shape}")
             p.tensor.values[...] = values
 
-    def encode(self, items: Sequence[ItemRecord], record: bool = True) -> EmbeddingBatch:
-        """Embed a batch of text or image items.
+    def encode(self, items: Sequence[ItemRecord] | ItemRows, record: bool = True) -> EmbeddingBatch:
+        """Embed a batch of text or image items, as records or as one block.
 
         Position-local layers mean only the final position can affect the
         output, so only that position is computed. With record=False the
@@ -167,22 +205,16 @@ class Encoder:
         Weights that overflow the forward pass raise NonUnitRowError, with
         no floating-point warning before it.
         """
-        items = list(items)
-        if not items:
-            raise ValueError("cannot encode an empty batch")
         width = self.config.input_dim
-        for it in items:
-            if it.modality == "fused":
-                raise ValueError(f"item {it.id!r} is fused; stage-2 training takes text and image items only")
-            if it.features.shape[1] != width:
-                raise ValueError(
-                    f"item {it.id!r} has feature width {it.features.shape[1]}, encoder expects {width}"
-                )
-        x = ad.constant(np.stack([it.features[-1] for it in items]))
+        if not isinstance(items, ItemRows):
+            items = ItemRows.of(items, width)
+        elif items.values.shape[1] != width:
+            raise ValueError(f"rows have feature width {items.values.shape[1]}, encoder expects {width}")
+        x = ad.constant(items.values)
         weights = [p.tensor if record else ad.constant(p.values) for p in self._params]
         with np.errstate(over="ignore", invalid="ignore"):
             embedded = _forward(x, weights, self.config.depth)
-        return EmbeddingBatch([it.id for it in items], embedded)
+        return EmbeddingBatch(items.ids, embedded)
 
 
 def _group_direction(seed: int, group: str, embed_dim: int) -> np.ndarray:
@@ -218,15 +250,17 @@ class TeacherEncoder:
             self._directions[group] = direction
         return direction
 
-    def encode(self, items: Sequence[ItemRecord]) -> EmbeddingBatch:
-        base = self._encoder.encode(items, record=False).values
-        out = base.copy()
-        for i, it in enumerate(items):
-            if it.group is not None and self.offset_scale > 0.0:
-                shifted = base[i] + self.offset_scale * self.group_direction(it.group)
-                # Bit for bit what np.linalg.norm computes for a 1-D float64 vector.
-                out[i] = shifted / np.sqrt(shifted.dot(shifted))
-        return EmbeddingBatch([it.id for it in items], ad.constant(out))
+    def encode(self, items: Sequence[ItemRecord] | ItemRows) -> EmbeddingBatch:
+        rows = items if isinstance(items, ItemRows) else ItemRows.of(items, self.config.input_dim)
+        out = self._encoder.encode(rows, record=False).values.copy()
+        grouped = [i for i, group in enumerate(rows.groups) if group is not None]
+        if grouped and self.offset_scale > 0.0:
+            offsets = np.array([self.group_direction(group) for group in rows.groups[grouped]])
+            shifted = out[grouped] + self.offset_scale * offsets
+            # Row by row what shifted[i].dot(shifted[i]) gives, hence np.linalg.norm, bit for bit.
+            squares = np.matmul(shifted[:, None, :], shifted[:, :, None])[:, 0, 0]
+            out[grouped] = shifted / np.sqrt(squares)[:, None]
+        return EmbeddingBatch(rows.ids, ad.constant(out))
 
 
 def fuse_multimodal(e_a: np.ndarray, e_b: np.ndarray) -> np.ndarray:
@@ -261,15 +295,17 @@ def embed_items(encoder: Encoder, items: Sequence[ItemRecord]) -> EmbeddingBatch
     rows: dict[str, np.ndarray] = {}
     if plain:
         rows.update(zip([it.id for it in plain], encoder.encode(plain, record=False).values))
-    halves = []
+    width = encoder.config.input_dim
     for it in fused:
         if it.features.shape[0] < 2:
             raise ValueError(f"fused item {it.id!r} needs at least 2 positions")
-        half = it.features.shape[0] // 2
-        halves.append(ItemRecord(f"{it.id}/a", "text", it.features[:half], it.group))
-        halves.append(ItemRecord(f"{it.id}/b", "image", it.features[half:], it.group))
-    if halves:
-        pairs = encoder.encode(halves, record=False).values
+        if it.features.shape[1] != width:
+            raise ValueError(f"item {it.id!r} has feature width {it.features.shape[1]}, encoder expects {width}")
+    if fused:
+        # The two halves of a fused item end at features[half - 1] and features[-1].
+        ids = np.array([f"{it.id}/{side}" for it in fused for side in "ab"], dtype=object)
+        last = [it.features[i] for it in fused for i in (it.features.shape[0] // 2 - 1, -1)]
+        pairs = encoder.encode(ItemRows(ids, np.full(len(ids), None), np.stack(last)), record=False).values
         for i, it in enumerate(fused):
             rows[it.id] = fuse_multimodal(pairs[2 * i], pairs[2 * i + 1])
     return EmbeddingBatch([it.id for it in items], ad.constant(np.stack([rows[it.id] for it in items])))

@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import negatives as ng
 from .autodiff import Tensor
 from .distill import kl_distillation_loss
-from .encoder import EmbeddingBatch, Encoder, ItemRecord
+from .encoder import EmbeddingBatch, Encoder, ItemRecord, ItemRows
 from .fields import check_types
 
 
@@ -129,7 +129,9 @@ class CacheStats:
         return self.pass2_peak - self.pass2_live_start
 
 
-def naive_step(encoder: Encoder, items: Sequence[ItemRecord], objective: Objective) -> tuple[dict[str, np.ndarray], float]:
+def naive_step(
+    encoder: Encoder, items: Sequence[ItemRecord] | ItemRows, objective: Objective
+) -> tuple[dict[str, np.ndarray], float]:
     """Single-pass reference: encode everything with recording, backward once."""
     params = encoder.parameters()
     emb = encoder.encode(items)
@@ -143,22 +145,21 @@ def naive_step(encoder: Encoder, items: Sequence[ItemRecord], objective: Objecti
 
 def cached_step(
     encoder: Encoder,
-    items: Sequence[ItemRecord],
+    items: Sequence[ItemRecord] | ItemRows,
     objective: Objective,
     plan: CachePlan,
 ) -> tuple[dict[str, np.ndarray], float, CacheStats]:
     """Two-pass step whose gradients match naive_step on the same inputs."""
-    items = list(items)
     if plan.effective_batch != len(items):
         raise ValueError(f"plan covers {plan.effective_batch} items, batch has {len(items)}")
+    rows = items if isinstance(items, ItemRows) else ItemRows.of(items, encoder.config.input_dim)
     params = encoder.parameters()
 
-    blocks = [encoder.encode(items[a:b], record=False) for a, b in plan.ranges]
+    blocks = [encoder.encode(rows[a:b], record=False) for a, b in plan.ranges]
     full_values = np.vstack([block.values for block in blocks])
-    ids = [i for block in blocks for i in block.ids]
     del blocks
     leaf = ad.Tensor(full_values, requires_grad=True)
-    emb = EmbeddingBatch(ids, leaf)
+    emb = EmbeddingBatch(rows.ids, leaf)
 
     loss = objective.loss_on(emb)
     ad.backward(loss)
@@ -172,7 +173,7 @@ def cached_step(
     ad.reset_peak_live_elements()
     stats.pass2_live_start = ad.live_elements()
     for a, b in plan.ranges:
-        sub = encoder.encode(items[a:b])
+        sub = encoder.encode(rows[a:b])
         pseudo = ad.total_sum(ad.mul(sub.matrix, ad.constant(embedding_grad[a:b])))
         ad.backward(pseudo)
     stats.pass2_peak = ad.peak_live_elements()

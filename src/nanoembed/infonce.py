@@ -21,7 +21,7 @@ from . import negatives as ng
 from . import optim
 from .autodiff import Tensor
 from .corpus import Corpus
-from .encoder import Encoder, NonUnitRowError
+from .encoder import Encoder, ItemRows, NonUnitRowError
 from .gradcache import CachePlan, ContrastiveObjective, cached_step
 from .metrics import StepMetrics
 from .negatives import NEGATIVE_MODES
@@ -140,37 +140,39 @@ def stage2_train(
         raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}, got {negative_mode!r}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    all_queries = corpus.queries()
-    if not all_queries:
-        raise ValueError("corpus has no query/positive pairs")
+    queries = corpus.queries()
+    n, m = len(queries), len(corpus.items)
+    # Queries, then every candidate, stacked once; each step gathers from it.
+    rows = ItemRows.of(queries + corpus.items, encoder.config.input_dim)
+    candidates, candidate_indices = rows[n:], np.arange(n, n + m)
     all_positives = np.array(corpus.positive_indices())
     rng = np.random.default_rng(seed)
     params = encoder.parameters()
     optimizer = optim.make_optimizer(settings)
     trace: list[StepMetrics] = []
     for step in range(steps):
-        picks = rng.choice(len(all_queries), size=len(all_queries), replace=False)
-        queries = [all_queries[i] for i in picks]
+        picks = rng.choice(n, size=n, replace=False)
         # default_rng(rng) returns rng itself, so mining draws from the loop's stream.
         objective = ContrastiveObjective(
-            n_queries=len(queries), positives=tuple(all_positives[picks]), config=config,
+            n_queries=n, positives=tuple(all_positives[picks]), config=config,
             mode=negative_mode, seed=rng,
         )
         try:
             if sub_batch is None:
                 batch_loss = objective.loss_between(
-                    encoder.encode(queries).matrix, encoder.encode(corpus.items).matrix
+                    encoder.encode(rows.take(picks)).matrix, encoder.encode(candidates).matrix
                 )
                 optim.zero_grads(params)
                 ad.backward(batch_loss)
                 loss = batch_loss.item()
             else:
-                items = queries + list(corpus.items)
-                plan = CachePlan(effective_batch=len(items), sub_batch=min(sub_batch, len(items)))
-                _, loss, _ = cached_step(encoder, items, objective, plan)
+                plan = CachePlan(effective_batch=n + m, sub_batch=min(sub_batch, n + m))
+                block = rows.take(np.concatenate((picks, candidate_indices)))
+                _, loss, _ = cached_step(encoder, block, objective, plan)
         except NonUnitRowError as exc:
             raise ValueError(f"step {step}: {exc}") from None
         grad_norm = optim.clip_global_norm(params, settings.clip_norm)
         optimizer.step(params)
+        optim.check_finite(params, step)
         trace.append(StepMetrics(step, loss, grad_norm, *objective.selection_rates))
     return trace

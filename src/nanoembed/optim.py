@@ -39,9 +39,10 @@ class Sgd:
         self.learning_rate = float(learning_rate)
 
     def step(self, params: Sequence[Parameter]) -> None:
-        for p in params:
-            if p.grad is not None:
-                p.tensor.values -= self.learning_rate * p.grad
+        with np.errstate(over="ignore", invalid="ignore"):  # see check_finite
+            for p in params:
+                if p.grad is not None:
+                    p.tensor.values -= self.learning_rate * p.grad
 
 
 class Adam:
@@ -55,25 +56,34 @@ class Adam:
 
     def step(self, params: Sequence[Parameter]) -> None:
         self._t += 1
-        for p in params:
-            if p.grad is None:
-                continue
-            g = p.grad
-            m = self._m.setdefault(p.name, np.zeros_like(g))
-            v = self._v.setdefault(p.name, np.zeros_like(g))
-            m *= _BETA1
-            m += (1.0 - _BETA1) * g
-            v *= _BETA2
-            v += (1.0 - _BETA2) * g * g
-            m_hat = m / (1.0 - _BETA1**self._t)
-            v_hat = v / (1.0 - _BETA2**self._t)
-            p.tensor.values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
+        with np.errstate(over="ignore", invalid="ignore"):  # see check_finite
+            for p in params:
+                if p.grad is None:
+                    continue
+                g = p.grad
+                m = self._m.setdefault(p.name, np.zeros_like(g))
+                v = self._v.setdefault(p.name, np.zeros_like(g))
+                m *= _BETA1
+                m += (1.0 - _BETA1) * g
+                v *= _BETA2
+                v += (1.0 - _BETA2) * g * g
+                m_hat = m / (1.0 - _BETA1**self._t)
+                v_hat = v / (1.0 - _BETA2**self._t)
+                p.tensor.values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 def make_optimizer(settings: OptimizerSettings):
     if settings.kind == "adam":
         return Adam(settings.learning_rate)
     return Sgd(settings.learning_rate)
+
+
+def check_finite(params: Sequence[Parameter], step: int) -> None:
+    """Raise ValueError naming the step and the first parameter that an
+    update left non-finite; the update itself overflows without a warning."""
+    for p in params:
+        if not np.isfinite(p.values).all():
+            raise ValueError(f"step {step}: the update left non-finite weights in {p.name}")
 
 
 def zero_grads(params: Sequence[Parameter]) -> None:

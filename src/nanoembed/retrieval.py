@@ -122,7 +122,7 @@ class RetrievalReport:
 
 def evaluate_checkpoint(encoder: Encoder, corpus: Corpus, ks: Sequence[int] = (1, 5)) -> RetrievalReport:
     """Rank every corpus query against all items; each query's labeled positive is its one relevant item."""
-    queries = embed_items(encoder, [pair.query for pair in corpus.pairs])
+    queries = embed_items(encoder, corpus.queries())
     candidates = embed_items(encoder, corpus.items)
     order = np.empty((len(queries), len(candidates)), dtype=np.intp)
     for i, row in enumerate(queries.values):

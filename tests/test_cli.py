@@ -28,6 +28,8 @@ from nanoembed.retrieval import RetrievalReport
 CORPUS = {"seed": 3, "n_groups": 4, "items_per_group": 4, "input_dim": 8}
 # One unclipped update that leaves the weights finite, too large for the next forward pass.
 DIVERGENT_SGD = {"kind": "sgd", "learning_rate": 1e300, "clip_norm": 1e300, "steps": 12}
+# One unclipped update that overflows the weights themselves.
+OVERFLOWING_UPDATE = {"learning_rate": 1e308, "clip_norm": 1e308, "steps": 12}
 
 
 def base_config(**overrides):
@@ -302,6 +304,16 @@ class TestStage1:
         assert code == 2
         assert capsys.readouterr().err == "error: step 1: row 0 has norm nan, expected 1 within 1e-10\n"
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_overflowing_update_names_its_step_and_parameter(self, tmp_path, capsys, kind):
+        config = write_config(tmp_path, optimizer={"kind": kind, **OVERFLOWING_UPDATE})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("stage1", "--config", config, "--out", tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == "error: step 0: the update left non-finite weights in layer0.weight\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_corpus_path_exits_with_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path, corpus={"path": "ghost.jsonl"})
         assert run("stage1", "--config", config, "--out", tmp_path / "out") == 2
@@ -428,6 +440,20 @@ class TestStage2:
             code = run("stage2", "--config", config, "--checkpoint", checkpoint, "--out", tmp_path / "out")
         assert code == 2
         assert capsys.readouterr().err == "error: step 1: row 0 has norm nan, expected 1 within 1e-10\n"
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("gradcache", [{"enabled": False}, {"enabled": True, "sub_batch": 5}],
+                             ids=["naive", "cached"])
+    def test_overflowing_update_names_its_step_and_parameter(self, tmp_path, capsys, gradcache, kind):
+        _, checkpoint = make_stage1_checkpoint(tmp_path)
+        config = write_config(tmp_path, optimizer={"kind": kind, **OVERFLOWING_UPDATE}, gradcache=gradcache)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("stage2", "--config", config, "--checkpoint", checkpoint, "--out", tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == "error: step 0: the update left non-finite weights in layer0.weight\n"
+        assert not (tmp_path / "out").exists()
 
     def test_fused_items_are_usage_error(self, tmp_path, capsys):
         corpus = {**CORPUS, "seq_len_range": [2, 4], "modality_mix": {"text": 0.5, "fused": 0.5}}
@@ -886,6 +912,17 @@ class TestBadInputLeavesNoOutput:
         config = write_config(tmp_path, miner={"beta": 0.1, "k": k}, sweep=sweep)
         err = self.assert_clean_failure(capsys, tmp_path / "out", command, "--config", config)
         assert err == "error: miner k=17 exceeds the corpus's 16 candidate items\n"
+
+    @pytest.mark.parametrize("command", ["eval", "ablate", "stage2", "tracegrad"])
+    def test_corpus_file_without_pairs(self, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus.jsonl"
+        cp.write_corpus(corpus, cp.Corpus(cp.generate(cp.CorpusSpec(**CORPUS)).items, []))
+        config = write_config(
+            tmp_path, corpus={"path": str(corpus)}, encoder={"input_dim": 8, "hidden_dim": 16, "embed_dim": 8},
+            sweep={"beta": [0.1]},
+        )
+        err = self.assert_clean_failure(capsys, tmp_path / "out", command, "--config", config)
+        assert err == "error: corpus has no query/positive pairs\n"
 
     def test_ablate_without_sweep(self, tmp_path, capsys):
         config = write_config(tmp_path)

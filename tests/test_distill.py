@@ -4,6 +4,8 @@ Loss values are checked against an arbitrary-precision reimplementation
 (mpmath) and against values frozen from that oracle.
 """
 
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -188,6 +190,26 @@ class TestStage1Train:
         losses = [r.loss for r in trace]
         assert np.mean(losses[-50:]) < np.mean(losses[:50])
         assert trace[-1].loss < trace[0].loss
+
+    def test_rows_are_stacked_once_per_run(self, monkeypatch):
+        corpus = cp.generate(cp.CorpusSpec(seed=3, n_groups=4, items_per_group=4, input_dim=8))
+        config = enc.EncoderConfig(input_dim=8, hidden_dim=10, embed_dim=6, seed=32)
+        teacher = enc.TeacherEncoder(dataclasses.replace(config, seed=31))
+        stack = enc.ItemRows.of.__func__
+        calls = []
+
+        def counting(cls, items, input_dim):
+            calls.append(len(items))
+            return stack(cls, items, input_dim)
+
+        monkeypatch.setattr(enc.ItemRows, "of", classmethod(counting))
+        counts = []
+        for steps in (2, 5):
+            calls.clear()
+            ds.stage1_train(enc.Encoder(config), corpus, teacher, ds.DistillConfig(batch_size=8),
+                            optim.OptimizerSettings(), steps=steps, seed=5)
+            counts.append(list(calls))
+        assert counts[0] == counts[1] == [len(corpus.text_items())]
 
     def test_image_only_corpus_has_no_text_pool(self):
         student = enc.Encoder(enc.EncoderConfig(input_dim=6, hidden_dim=8, embed_dim=5, seed=7))

@@ -298,6 +298,107 @@ class TestTeacher:
         assert np.array_equal(b, enc._group_direction(CFG.seed + 1, "alpha", CFG.embed_dim))
 
 
+class TestItemRows:
+    def mixed_items(self, rng):
+        """Grouped and groupless text and image items, the g1 group repeated."""
+        items = TestTeacher().grouped_items(rng, groups=("g0", "g1", "g1"), per_group=3)
+        items = [dataclasses.replace(it, id=f"{it.id}-{i}") for i, it in enumerate(items)]
+        items += make_items(rng, 4, CFG.input_dim, prefix="free")
+        items += make_items(rng, 2, CFG.input_dim, modality="image", prefix="img")
+        rng.shuffle(items)
+        return items
+
+    def test_of_stacks_ids_groups_and_last_rows(self):
+        items = self.mixed_items(np.random.default_rng(0))
+        rows = enc.ItemRows.of(items, CFG.input_dim)
+        assert len(rows) == len(items)
+        assert list(rows.ids) == [it.id for it in items]
+        assert list(rows.groups) == [it.group for it in items]
+        assert (rows.values == np.stack([it.features[-1] for it in items])).all()
+
+    def test_take_and_slices_keep_ids_groups_and_rows_aligned(self):
+        items = self.mixed_items(np.random.default_rng(1))
+        rows = enc.ItemRows.of(items, CFG.input_dim)
+        picks = [5, 0, 13, 5, 2]
+        for part, chosen in ((rows.take(picks), picks), (rows.take(np.array(picks)), picks),
+                             (rows[3:9], range(3, 9)), (rows[:1], [0]), (rows[len(items) - 2 :], [-2, -1])):
+            expected = [items[i] for i in chosen]
+            assert len(part) == len(expected)
+            assert list(part.ids) == [it.id for it in expected]
+            assert list(part.groups) == [it.group for it in expected]
+            assert (part.values == np.stack([it.features[-1] for it in expected])).all()
+        assert np.shares_memory(rows[3:9].values, rows.values)
+
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            ([], "cannot encode an empty batch"),
+            (
+                [enc.ItemRecord("w", "text", np.zeros((2, CFG.input_dim + 1)))],
+                "item 'w' has feature width 7, encoder expects 6",
+            ),
+            ([enc.ItemRecord("f", "fused", np.zeros((2, CFG.input_dim)))], "item 'f' is fused"),
+        ],
+        ids=["empty", "width", "fused"],
+    )
+    def test_of_rejects_what_encode_rejects(self, items, message):
+        batch = make_items(np.random.default_rng(2), 2, CFG.input_dim) + items if items else []
+        with pytest.raises(ValueError, match=message):
+            enc.ItemRows.of(batch, CFG.input_dim)
+        with pytest.raises(ValueError, match=message):
+            enc.Encoder(CFG).encode(batch)
+
+    def test_block_of_the_wrong_width_is_rejected(self):
+        rows = enc.ItemRows.of(make_items(np.random.default_rng(3), 3, CFG.input_dim + 1), CFG.input_dim + 1)
+        with pytest.raises(ValueError, match="rows have feature width 7, encoder expects 6"):
+            enc.Encoder(CFG).encode(rows)
+        with pytest.raises(ValueError, match="rows have feature width 7, encoder expects 6"):
+            enc.TeacherEncoder(CFG).encode(rows)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_student_encodes_a_block_as_its_records(self, record):
+        items = self.mixed_items(np.random.default_rng(4))
+        model = enc.Encoder(CFG)
+        rows = enc.ItemRows.of(items, CFG.input_dim)
+        for batch, block in ((items, rows), (items[:1], rows[:1]), ([items[7], items[2]], rows.take([7, 2]))):
+            expected = model.encode(batch, record=record)
+            got = model.encode(block, record=record)
+            assert got.ids == expected.ids
+            assert (got.values == expected.values).all()
+            assert got.matrix.requires_grad == record
+
+    @pytest.mark.parametrize("offset_scale", [0.0, 3.0])
+    def test_teacher_encodes_a_block_as_its_records(self, offset_scale):
+        items = self.mixed_items(np.random.default_rng(5))
+        teacher = enc.TeacherEncoder(CFG, offset_scale=offset_scale)
+        rows = enc.ItemRows.of(items, CFG.input_dim)
+        groupless = [i for i, it in enumerate(items) if it.group is None]
+        for picks in (range(len(items)), [0], groupless[:1], groupless, [3, 1, 4]):
+            picks = list(picks)
+            expected = teacher.encode([items[i] for i in picks])
+            got = teacher.encode(rows.take(picks))
+            assert got.ids == expected.ids
+            assert (got.values == expected.values).all()
+
+    def test_teacher_block_offsets_match_the_per_row_oracle_at_width_32(self):
+        # Wide rows and many groups: a batched sum in another order than the
+        # per-row dot would move some last bits.
+        config = enc.EncoderConfig(input_dim=12, hidden_dim=24, embed_dim=32, seed=8)
+        rng = np.random.default_rng(6)
+        items = [
+            enc.ItemRecord(f"x{i}", "text", rng.normal(size=(1, 12)), group=f"g{i % 40}" if i % 7 else None)
+            for i in range(300)
+        ]
+        teacher = enc.TeacherEncoder(config, offset_scale=3.0)
+        base = enc.Encoder(config).encode(items, record=False).values
+        expected = base.copy()
+        for i, it in enumerate(items):
+            if it.group is not None:
+                shifted = base[i] + 3.0 * teacher.group_direction(it.group)
+                expected[i] = shifted / np.linalg.norm(shifted)
+        assert (teacher.encode(enc.ItemRows.of(items, 12)).values == expected).all()
+
+
 class TestFusion:
     def test_identical_vectors_fuse_to_themselves(self):
         u = np.array([0.6, 0.8])

@@ -59,8 +59,9 @@ class TestCachePlan:
 
     def test_plan_must_cover_batch(self):
         encoder, items, objective = distill_case()
-        with pytest.raises(ValueError, match="plan covers 32 items, batch has"):
-            gc.cached_step(encoder, items, objective, gc.CachePlan(effective_batch=32, sub_batch=8))
+        for batch in (items, enc.ItemRows.of(items, encoder.config.input_dim)):
+            with pytest.raises(ValueError, match="plan covers 32 items, batch has 64"):
+                gc.cached_step(encoder, batch, objective, gc.CachePlan(effective_batch=32, sub_batch=8))
 
 
 class TestObjectiveValidation:
@@ -109,6 +110,22 @@ class TestGradientEquality:
         assert abs(loss - naive_loss) < 1e-12
         for name in naive_grads:
             np.testing.assert_allclose(grads[name], naive_grads[name], atol=1e-9, rtol=0)
+
+    @pytest.mark.parametrize("sub_batch", [1, 7, 64])
+    @pytest.mark.parametrize("case", [distill_case, contrastive_case])
+    def test_a_block_steps_exactly_as_its_records(self, case, sub_batch):
+        encoder, items, objective = case()
+        plan = gc.CachePlan(effective_batch=64, sub_batch=sub_batch)
+        grads, loss, stats = gc.cached_step(encoder, items, objective, plan)
+        rows = enc.ItemRows.of(items, encoder.config.input_dim)
+        block_grads, block_loss, block_stats = gc.cached_step(encoder, rows, objective, plan)
+        assert block_loss == loss
+        assert (block_stats.embedding_values == stats.embedding_values).all()
+        assert block_stats.pass2_overhead == stats.pass2_overhead
+        assert block_grads.keys() == grads.keys()
+        for name in grads:
+            assert (block_grads[name] == grads[name]).all()
+        assert gc.naive_step(encoder, rows, objective)[1] == gc.naive_step(encoder, items, objective)[1]
 
     def test_loss_on_scores_the_batch_as_loss_between_its_halves(self):
         encoder, items, objective = contrastive_case()

@@ -253,6 +253,25 @@ class TestStage2Train:
             )
         assert traces[0] == traces[1]
 
+    @pytest.mark.parametrize("sub_batch", [None, 5], ids=["naive", "cached"])
+    def test_rows_are_stacked_once_per_run(self, monkeypatch, sub_batch):
+        corpus, _ = small_setup()
+        stack = enc.ItemRows.of.__func__
+        calls = []
+
+        def counting(cls, items, input_dim):
+            calls.append(len(items))
+            return stack(cls, items, input_dim)
+
+        monkeypatch.setattr(enc.ItemRows, "of", classmethod(counting))
+        counts = []
+        for steps in (2, 5):
+            calls.clear()
+            nce.stage2_train(small_setup()[1], corpus, ng.MinerConfig(beta=0.0, k=4), optim.OptimizerSettings(),
+                             steps=steps, seed=3, sub_batch=sub_batch)
+            counts.append(list(calls))
+        assert counts[0] == counts[1] == [len(corpus.pairs) + len(corpus.items)]
+
     def test_unknown_mode_rejected(self):
         corpus, encoder = small_setup()
         with pytest.raises(ValueError, match="negative_mode must be one of .*, got 'medium'"):
