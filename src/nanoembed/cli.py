@@ -197,6 +197,8 @@ def load_config(
         "seed": seed + 1000,
     }
     teacher_config = _build("teacher", EncoderConfig, {**teacher_defaults, **teacher_raw})
+    if teacher_config.input_dim != encoder.input_dim:
+        raise ValueError(f"teacher input_dim {teacher_config.input_dim} != encoder input_dim {encoder.input_dim}")
     teacher = _build("teacher", TeacherEncoder, {"config": teacher_config, **offset})
 
     distill = _build("distill", DistillConfig, _section(raw, "distill"))

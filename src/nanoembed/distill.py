@@ -84,7 +84,7 @@ def stage1_train(
     optimizer = optim.make_optimizer(settings)
     trace: list[StepMetrics] = []
     for step in range(steps):
-        batch = rows.take(rng.choice(len(pool), size=batch_size, replace=False))
+        batch = rows[rng.choice(len(pool), size=batch_size, replace=False)]
         try:
             student = encoder.encode(batch)
         except NonUnitRowError as exc:

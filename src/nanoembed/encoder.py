@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +82,7 @@ class ItemRecord:
 class ItemRows:
     """Items stacked once for the encoders: ids and groups as object arrays,
     and the last feature rows, the only ones an embedding reads (n x
-    input_dim). take gathers rows by index; rows[a:b] is a view."""
+    input_dim). rows[indices] gathers rows by index; rows[a:b] is a view."""
 
     ids: np.ndarray
     groups: np.ndarray
@@ -105,9 +105,6 @@ class ItemRows:
             np.array([it.group for it in items], dtype=object),
             np.stack([it.features[-1] for it in items]),
         )
-
-    def take(self, indices: Sequence[int] | np.ndarray) -> ItemRows:
-        return self[np.asarray(indices, dtype=np.intp)]
 
     def __getitem__(self, rows: slice | np.ndarray) -> ItemRows:
         return ItemRows(self.ids[rows], self.groups[rows], self.values[rows])

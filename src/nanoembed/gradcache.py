@@ -119,10 +119,9 @@ class ContrastiveObjective:
 class CacheStats:
     """Bookkeeping from one cached step, for memory assertions."""
 
-    loss: float
     embedding_values: np.ndarray
-    pass2_live_start: int = 0
-    pass2_peak: int = 0
+    pass2_live_start: int
+    pass2_peak: int
 
     @property
     def pass2_overhead(self) -> int:
@@ -169,13 +168,12 @@ def cached_step(
 
     for p in params:
         p.zero_grad()
-    stats = CacheStats(loss=loss_value, embedding_values=full_values)
     ad.reset_peak_live_elements()
-    stats.pass2_live_start = ad.live_elements()
+    live_start = ad.live_elements()
     for a, b in plan.ranges:
         sub = encoder.encode(rows[a:b])
         pseudo = ad.total_sum(ad.mul(sub.matrix, ad.constant(embedding_grad[a:b])))
         ad.backward(pseudo)
-    stats.pass2_peak = ad.peak_live_elements()
+    stats = CacheStats(full_values, live_start, ad.peak_live_elements())
     grads = {p.name: p.grad.copy() for p in params if p.grad is not None}
     return grads, loss_value, stats

@@ -52,10 +52,6 @@ class ContrastiveTriple:
         _unit_rows(self.e_pos.values, "positive")
         _unit_rows(self.e_neg.values, "negative")
 
-    @property
-    def k(self) -> int:
-        return self.e_neg.shape[0]
-
 
 def infonce_hard_loss(triple: ContrastiveTriple, tau: float) -> Tensor:
     """-log of the positive's softmax weight among positive plus negatives."""
@@ -160,14 +156,14 @@ def stage2_train(
         try:
             if sub_batch is None:
                 batch_loss = objective.loss_between(
-                    encoder.encode(rows.take(picks)).matrix, encoder.encode(candidates).matrix
+                    encoder.encode(rows[picks]).matrix, encoder.encode(candidates).matrix
                 )
                 optim.zero_grads(params)
                 ad.backward(batch_loss)
                 loss = batch_loss.item()
             else:
                 plan = CachePlan(effective_batch=n + m, sub_batch=min(sub_batch, n + m))
-                block = rows.take(np.concatenate((picks, candidate_indices)))
+                block = rows[np.concatenate((picks, candidate_indices))]
                 _, loss, _ = cached_step(encoder, block, objective, plan)
         except NonUnitRowError as exc:
             raise ValueError(f"step {step}: {exc}") from None

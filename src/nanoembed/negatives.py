@@ -53,8 +53,6 @@ class MinedBatch:
     """Per-query mining outcome over a shared candidate pool."""
 
     filtered: list[set[int]]
-    negatives: list[list[int]]
-    duplication_counts: list[int]
 
 
 @dataclass(frozen=True)
@@ -205,13 +203,8 @@ def mine_batch(
     if queries.dim != candidates.dim:
         raise ValueError(f"query dim {queries.dim} != candidate dim {candidates.dim}")
     sims = queries.values @ candidates.values.T
-    neg, filtered, dup = select_negatives(sims, positives, config.k, "hard", config.beta, None)
+    _, filtered, dup = select_negatives(sims, positives, config.k, "hard", config.beta, None)
     stats = MinerStats(
         false_neg_pct=selection_rates(filtered, dup)[0], hard_neg_pct=config.k * 100.0 / len(candidates)
     )
-    mined = MinedBatch(
-        filtered=[set(np.flatnonzero(row).tolist()) for row in filtered],
-        negatives=neg.tolist(),
-        duplication_counts=dup.tolist(),
-    )
-    return mined, stats
+    return MinedBatch(filtered=[set(np.flatnonzero(row).tolist()) for row in filtered]), stats

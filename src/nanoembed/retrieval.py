@@ -91,12 +91,6 @@ class RetrievalReport:
     precision_at: dict[int, float]
     recall_at: dict[int, float]
 
-    @property
-    def ranked(self) -> dict[str, list[str]]:
-        """Each query's ranked candidate ids."""
-        ids = np.array(self.candidate_ids, dtype=object)
-        return {qid: ids[row].tolist() for qid, row in zip(self.query_ids, self.order)}
-
     def write_json(self, handle: IO[str]) -> None:
         """Write json.dumps of {precision_at, recall_at, ranked} with
         sort_keys=True and indent=2, one query at a time."""

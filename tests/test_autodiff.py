@@ -333,7 +333,7 @@ class TestFiniteDifferenceCheck:
         def loss_fn():
             return ad.total_sum(ad.add(ad.scale(w.tensor, 2.0), ad.scale(b.tensor, -3.0)))
 
-        report = ad.finite_difference_check(loss_fn, params, step=1e-5, tolerance=1e-8)
+        report = ad.finite_difference_check(loss_fn, params, tolerance=1e-8)
         assert report.passed
         assert report.max_rel_error < 1e-10
 
@@ -348,9 +348,8 @@ class TestFiniteDifferenceCheck:
             p = ad.softmax_rows(ad.matmul(e, ad.transpose(e)), tau=0.5)
             return ad.total_sum(ad.mul(p, ad.log(p)))
 
-        report = ad.finite_difference_check(loss_fn, params, step=1e-5, tolerance=1e-4)
+        report = ad.finite_difference_check(loss_fn, params, tolerance=1e-4)
         assert report.passed
-        assert set(report.per_param) == {"w", "b"}
 
     def test_detects_a_wrong_gradient(self):
         # A loss whose graph drops one dependency: analytic and numeric must disagree.
@@ -360,7 +359,7 @@ class TestFiniteDifferenceCheck:
             frozen = ad.constant(p.values * p.values)
             return ad.total_sum(ad.add(ad.mul(p.tensor, p.tensor), frozen))
 
-        report = ad.finite_difference_check(loss_fn, [p], step=1e-5, tolerance=1e-4)
+        report = ad.finite_difference_check(loss_fn, [p], tolerance=1e-4)
         assert not report.passed
 
     def test_nondeterministic_loss_rejected(self):

@@ -30,6 +30,7 @@ CORPUS = {"seed": 3, "n_groups": 4, "items_per_group": 4, "input_dim": 8}
 DIVERGENT_SGD = {"kind": "sgd", "learning_rate": 1e300, "clip_norm": 1e300, "steps": 12}
 # One unclipped update that overflows the weights themselves.
 OVERFLOWING_UPDATE = {"learning_rate": 1e308, "clip_norm": 1e308, "steps": 12}
+TEACHER_WIDTH = "teacher input_dim 4 != encoder input_dim 8"
 
 
 def base_config(**overrides):
@@ -200,6 +201,9 @@ class TestConfigLoading:
             ("stage1", {"optimizer": {"learning_rate": float("inf"), "steps": 12}}, "learning_rate"),
             ("ablate", {"sweep": {"beta": [0.1, float("-inf")]}}, "beta"),
             ("stage1", {"teacher": {"offset_scale": 10**400}}, "offset_scale"),
+            ("stage1", {"teacher": {"input_dim": 4}, "optimizer": {"steps": 0}}, TEACHER_WIDTH),
+            ("stage1", {"teacher": {"input_dim": 4}, "optimizer": {"steps": 3}}, TEACHER_WIDTH),
+            ("eval", {"teacher": {"input_dim": 4}}, TEACHER_WIDTH),
         ],
         ids=[
             "enabled_string", "seed_bool", "steps_bool", "sub_batch_bool", "k_bool", "hidden_dim_bool",
@@ -208,7 +212,7 @@ class TestConfigLoading:
             "offset_scale_string", "sweep_beta_bool", "modality_mix_bool", "seq_len_range_fraction",
             "seq_len_range_scalar", "corpus_path_int", "output_dir_int", "beta_nan",
             "offset_scale_nan", "noise_scale_nan", "learning_rate_inf", "sweep_beta_minus_inf",
-            "offset_scale_huge_int",
+            "offset_scale_huge_int", "teacher_width_steps0", "teacher_width_steps3", "teacher_width_eval",
         ],
     )
     def test_badly_typed_value_is_usage_error(self, tmp_path, capsys, command, overrides, field):

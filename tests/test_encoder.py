@@ -163,7 +163,7 @@ class TestEncoderGradcheck:
             out = model.encode(items)
             return ad.total_sum(ad.mul(ad.matmul(out.matrix, ad.transpose(out.matrix)), weights))
 
-        report = ad.finite_difference_check(loss_fn, model.parameters(), step=1e-5, tolerance=1e-4)
+        report = ad.finite_difference_check(loss_fn, model.parameters(), tolerance=1e-4)
         assert report.passed, report
 
 
@@ -316,12 +316,12 @@ class TestItemRows:
         assert list(rows.groups) == [it.group for it in items]
         assert (rows.values == np.stack([it.features[-1] for it in items])).all()
 
-    def test_take_and_slices_keep_ids_groups_and_rows_aligned(self):
+    def test_gathers_and_slices_keep_ids_groups_and_rows_aligned(self):
         items = self.mixed_items(np.random.default_rng(1))
         rows = enc.ItemRows.of(items, CFG.input_dim)
         picks = [5, 0, 13, 5, 2]
-        for part, chosen in ((rows.take(picks), picks), (rows.take(np.array(picks)), picks),
-                             (rows[3:9], range(3, 9)), (rows[:1], [0]), (rows[len(items) - 2 :], [-2, -1])):
+        for part, chosen in ((rows[np.array(picks)], picks), (rows[3:9], range(3, 9)), (rows[:1], [0]),
+                             (rows[len(items) - 2 :], [-2, -1])):
             expected = [items[i] for i in chosen]
             assert len(part) == len(expected)
             assert list(part.ids) == [it.id for it in expected]
@@ -360,7 +360,7 @@ class TestItemRows:
         items = self.mixed_items(np.random.default_rng(4))
         model = enc.Encoder(CFG)
         rows = enc.ItemRows.of(items, CFG.input_dim)
-        for batch, block in ((items, rows), (items[:1], rows[:1]), ([items[7], items[2]], rows.take([7, 2]))):
+        for batch, block in ((items, rows), (items[:1], rows[:1]), ([items[7], items[2]], rows[np.array([7, 2])])):
             expected = model.encode(batch, record=record)
             got = model.encode(block, record=record)
             assert got.ids == expected.ids
@@ -376,7 +376,7 @@ class TestItemRows:
         for picks in (range(len(items)), [0], groupless[:1], groupless, [3, 1, 4]):
             picks = list(picks)
             expected = teacher.encode([items[i] for i in picks])
-            got = teacher.encode(rows.take(picks))
+            got = teacher.encode(rows[np.array(picks)])
             assert got.ids == expected.ids
             assert (got.values == expected.values).all()
 

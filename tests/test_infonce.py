@@ -52,7 +52,7 @@ class TestTriple:
             triple_from(q, unit_rows(2, 1, 5), negs)
         with pytest.raises(ValueError):
             triple_from(q, q, np.zeros((0, 4)))
-        assert triple_from(q, q, negs).k == 3
+        assert triple_from(q, q, negs).e_neg.shape == (3, 4)
 
     def test_nan_row_is_not_unit_norm(self):
         q = unit_rows(0, 1, 4)

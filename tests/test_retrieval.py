@@ -208,7 +208,9 @@ class TestMetrics:
 def set_intersection_metrics(report, corpus, k):
     """Precision and recall@k as per-query set intersections of ranked ids."""
     relevance = {pair.query.id: {pair.positive_id} for pair in corpus.pairs}
-    found = {q: len(set(ids[:k]) & relevance[q]) for q, ids in report.ranked.items()}
+    ranked = json.loads(report.to_json())["ranked"]
+    # In query order, as the report averages them.
+    found = {q: len(set(ranked[q][:k]) & relevance[q]) for q in report.query_ids}
     precision = float(np.mean([n / k for n in found.values()]))
     recall = float(np.mean([n / len(relevance[q]) for q, n in found.items()]))
     return precision, recall
@@ -237,7 +239,7 @@ class TestRetrievalTask:
         corpus = cp.generate(cp.CorpusSpec(seed=37, n_groups=3, items_per_group=3, input_dim=8))
         encoder = enc.Encoder(enc.EncoderConfig(8, 16, 8, seed=1))
         report = rt.evaluate_checkpoint(encoder, corpus, ks=(1, 5))
-        for ids in report.ranked.values():
+        for ids in json.loads(report.to_json())["ranked"].values():
             assert sorted(ids) == sorted(it.id for it in corpus.items)
         assert set(report.precision_at) == {1, 5}
         for v in list(report.precision_at.values()) + list(report.recall_at.values()):
@@ -272,9 +274,10 @@ class TestEvaluateCheckpoint:
         corpus = cp.generate(spec)
         encoder = enc.Encoder(enc.EncoderConfig(12, 32, 16, seed=6))
         report = rt.evaluate_checkpoint(encoder, corpus, ks=(1, 5))
-        assert len(report.ranked) == len(corpus.pairs)
+        ranked = json.loads(report.to_json())["ranked"]
+        assert len(ranked) == len(corpus.pairs)
         item_ids = sorted(it.id for it in corpus.items)
-        for ids in report.ranked.values():
+        for ids in ranked.values():
             assert sorted(ids) == item_ids
 
     def test_duplicate_items_rank_like_the_oracle(self):
@@ -303,7 +306,7 @@ def test_plain_item_named_like_a_fused_half_is_kept_apart():
     corpus = cp.Corpus(items, [cp.PairRecord(query, "f")])
     encoder = enc.Encoder(enc.EncoderConfig(6, 8, 4, seed=2))
     report = rt.evaluate_checkpoint(encoder, corpus, ks=(1,))
-    assert sorted(report.ranked["q"]) == ["f", "f/a"]
+    assert sorted(json.loads(report.to_json())["ranked"]["q"]) == ["f", "f/a"]
     candidates = enc.embed_items(encoder, items)
     alone = enc.embed_items(encoder, [items[0]])
     np.testing.assert_array_equal(candidates.values[0], alone.values[0])
@@ -321,7 +324,7 @@ def legacy_json(report, encoder, corpus):
         qid: [candidates.ids[j] for j in rt.rank_scores(candidates.values @ row)]
         for qid, row in zip(queries.ids, queries.values)
     }
-    assert report.ranked == ranked
+    assert {qid: [report.candidate_ids[j] for j in row] for qid, row in zip(report.query_ids, report.order)} == ranked
     payload = {
         "precision_at": {str(k): v for k, v in sorted(report.precision_at.items())},
         "recall_at": {str(k): v for k, v in sorted(report.recall_at.items())},
