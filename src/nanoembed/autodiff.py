@@ -199,7 +199,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_values, b_values = a.values, b.values
 
     def vjp(g):
-        return (g @ b_values.T, a_values.T @ g)
+        return (g @ b_values.T if a.requires_grad else None, a_values.T @ g if b.requires_grad else None)
 
     return _from_op(a_values @ b_values, (a, b), vjp)
 
@@ -325,6 +325,13 @@ def row_log_sum_exp(a: Tensor) -> Tensor:
     return _from_op(out_values, (a,), vjp)
 
 
+def _scatter_add(flat: np.ndarray, g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """np.add.at of g (C order) into np.zeros(shape) at flat indices, with the
+    same bits: bincount also adds in index order starting from 0.0."""
+    out = np.bincount(flat, weights=g.ravel(), minlength=shape[0] * shape[1])
+    return out.astype(np.float64, copy=False).reshape(shape)  # an empty flat counts in ints
+
+
 def gather_columns(a: Tensor, cols) -> Tensor:
     """Pick per-row columns: out[i, j] = a[i, cols[i, j]].
 
@@ -339,9 +346,7 @@ def gather_columns(a: Tensor, cols) -> Tensor:
     shape = a.shape
 
     def vjp(g):
-        ga = np.zeros(shape)
-        np.add.at(ga, (rows, idx), g)
-        return (ga,)
+        return (_scatter_add((rows * shape[1] + idx).ravel(), g, shape),)
 
     return _from_op(a.values[rows, idx], (a,), vjp)
 
@@ -359,9 +364,7 @@ def gather_rows(a: Tensor, rows) -> Tensor:
     shape = a.shape
 
     def vjp(g):
-        ga = np.zeros(shape)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        return (_scatter_add((idx[:, None] * shape[1] + np.arange(shape[1])).ravel(), g, shape),)
 
     return _from_op(a.values[idx], (a,), vjp)
 

@@ -63,7 +63,7 @@ class DistillObjective:
         return kl_distillation_loss(emb, self.teacher, self.tau)
 
 
-@dataclass
+@dataclass(eq=False)
 class ContrastiveObjective:
     """InfoNCE of query rows against candidate rows: the one scoring rule of
     a stage-2 step, naive or cached.
@@ -77,7 +77,7 @@ class ContrastiveObjective:
     """
 
     n_queries: int
-    positives: tuple[int, ...]
+    positives: np.ndarray | Sequence[int]
     config: ng.MinerConfig
     mode: str = "hard"
     seed: int | np.random.Generator = 0
@@ -111,7 +111,7 @@ class ContrastiveObjective:
         if total <= n:
             raise ValueError(f"batch of {total} rows leaves no candidates after {n} queries")
         return self.loss_between(
-            ad.gather_rows(emb.matrix, list(range(n))), ad.gather_rows(emb.matrix, list(range(n, total)))
+            ad.gather_rows(emb.matrix, np.arange(n)), ad.gather_rows(emb.matrix, np.arange(n, total))
         )
 
 

@@ -62,7 +62,7 @@ def infonce_hard_loss(triple: ContrastiveTriple, tau: float) -> Tensor:
 
 def infonce_batch_loss(
     sims: Tensor,
-    positives: Sequence[int],
+    positives: np.ndarray | Sequence[int],
     negatives: np.ndarray | Sequence[Sequence[int]],
     tau: float,
 ) -> Tensor:
@@ -73,11 +73,11 @@ def infonce_batch_loss(
     denominator terms as they appear, matching per-triple evaluation exactly.
     """
     n = sims.shape[0]
+    if len(positives) != n or len(negatives) != n:
+        raise ValueError(f"{len(positives)} positives and {len(negatives)} rows of negatives for {n} queries")
     cols = np.column_stack((positives, negatives))
-    if cols.shape[0] != n:
-        raise ValueError(f"{cols.shape[0]} rows of positives and negatives for {n} queries")
     logits = ad.scale(ad.gather_columns(sims, cols), 1.0 / ad.check_tau(tau))
-    per_query = ad.sub(ad.row_log_sum_exp(logits), ad.gather_columns(logits, [[0]] * n))
+    per_query = ad.sub(ad.row_log_sum_exp(logits), ad.gather_columns(logits, np.zeros((n, 1), np.intp)))
     return ad.scale(ad.total_sum(per_query), 1.0 / n)
 
 
@@ -141,7 +141,7 @@ def stage2_train(
     # Queries, then every candidate, stacked once; each step gathers from it.
     rows = ItemRows.of(queries + corpus.items, encoder.config.input_dim)
     candidates, candidate_indices = rows[n:], np.arange(n, n + m)
-    all_positives = np.array(corpus.positive_indices())
+    all_positives = np.array(corpus.positive_indices(), dtype=np.intp)
     rng = np.random.default_rng(seed)
     params = encoder.parameters()
     optimizer = optim.make_optimizer(settings)
@@ -150,7 +150,7 @@ def stage2_train(
         picks = rng.choice(n, size=n, replace=False)
         # default_rng(rng) returns rng itself, so mining draws from the loop's stream.
         objective = ContrastiveObjective(
-            n_queries=n, positives=tuple(all_positives[picks]), config=config,
+            n_queries=n, positives=all_positives[picks], config=config,
             mode=negative_mode, seed=rng,
         )
         try:

@@ -9,9 +9,11 @@ top k become hard negatives, cycling through the ranked list when fewer
 than k are eligible.
 
 ``select_negatives`` applies that rule, and the easy and random modes, to a
-whole query-by-candidate similarity matrix at once; the per-row
-``filter_false_negatives`` and ``sample_hard_negatives`` are the scalar
-reference it is tested against.
+whole query-by-candidate similarity matrix at once: a per-row partition
+bounds each row's k-th key, the survivors at or below it come out of one
+flat index in (row, index) order, and a stable sort of each row of a
++inf-padded block ranks them. The per-row ``filter_false_negatives`` and
+``sample_hard_negatives`` are the scalar reference it is tested against.
 """
 
 from __future__ import annotations
@@ -129,9 +131,12 @@ def select_negatives(
     filtered[i, j] marks candidates dropped as probable false negatives
     (hard mode only), and dup[i] counts the cyclic repeats query i needed.
     Hard and easy picks equal the per-row rule of sample_hard_negatives on
-    sims and -sims, ties included. Random mode draws one ``rng.permutation``
-    per row in row order, so the generator is consumed exactly as a
-    per-query loop would consume it; the other modes never touch ``rng``.
+    sims and -sims, ties included: a stable sort, in index order, of the
+    eligible keys at or below a row's k-th key (k of them unless keys tie)
+    gives its (key, index) ranking. neg is C-contiguous intp. Random mode
+    draws one ``rng.permutation`` per row in row order, so the generator is
+    consumed exactly as a per-query loop would consume it; the other modes
+    never touch ``rng``.
     """
     if mode not in NEGATIVE_MODES:
         raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}, got {mode!r}")
@@ -157,9 +162,7 @@ def select_negatives(
         filtered[rows, pos] = False
     else:
         filtered = np.zeros((n, m), dtype=bool)
-    ineligible = filtered.copy()
-    ineligible[rows, pos] = True
-    eligible = m - np.count_nonzero(ineligible, axis=1)
+    eligible = m - 1 - np.count_nonzero(filtered, axis=1)
     if not eligible.all():
         query = int(np.flatnonzero(eligible == 0)[0])
         raise NoEligibleNegativesError(f"query {query}: no eligible candidates remain after filtering")
@@ -170,21 +173,33 @@ def select_negatives(
     if mode == "random":
         if rng is None:
             raise ValueError("random mode needs a generator")
+        ineligible = filtered.copy()
+        ineligible[rows, pos] = True
         neg = np.empty((n, k), dtype=np.intp)
         for i in range(n):
             neg[i] = rng.permutation(np.flatnonzero(~ineligible[i]))[take[i]]
         return neg, filtered, dup
 
     key = -sims if mode == "hard" else sims.copy()
-    key[ineligible] = np.inf
+    np.copyto(key, np.inf, where=filtered)
+    key[rows, pos] = np.inf
+    # A row short of k eligible keys has +inf as its k-th key. Eligible keys
+    # are finite, so clipping the bound to the largest float keeps that row's
+    # +inf keys out of the block, which stays k wide unless keys tie.
     kth = min(k, m) - 1
-    bound = np.partition(key, kth, axis=1)[:, kth]
-    # Every eligible entry at or below its row's k-th key, sorted by
-    # (row, key, index): the same order as the per-row lexsort.
-    r, c = np.nonzero((key <= bound[:, None]) & ~ineligible)
-    c = c[np.lexsort((c, key[r, c], r))]
-    starts = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n))[:-1]))
-    return c[starts[:, None] + take], filtered, dup
+    bound = np.minimum(np.partition(key, kth, axis=1)[:, kth], np.finfo(np.float64).max)
+    # Survivors in (row, index) order, laid into an n x w block padded with
+    # +inf; a stable sort of each block row gives the per-row (key, index) order.
+    flat = np.flatnonzero(key <= bound[:, None])
+    r = flat // m
+    counts = np.bincount(r, minlength=n)
+    slot = np.arange(flat.size) - (np.cumsum(counts) - counts)[r]
+    block = np.full((n, counts.max()), np.inf)
+    block[r, slot] = np.take(key, flat)
+    cols = np.zeros(block.shape, dtype=np.intp)
+    cols[r, slot] = flat - r * m
+    order = np.argsort(block, axis=1, kind="stable")
+    return np.take_along_axis(cols, np.take_along_axis(order, take, axis=1), axis=1), filtered, dup
 
 
 def selection_rates(filtered: np.ndarray, dup: np.ndarray) -> tuple[float, float]:

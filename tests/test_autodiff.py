@@ -308,6 +308,45 @@ class TestPrimitiveGradients:
         ad.backward(ad.total_sum(ad.mul(out, w)))
         np.testing.assert_array_equal(x.grad, [[11.0, 22.0], [100.0, 200.0]])
 
+    def test_gather_adjoints_equal_add_at_bit_for_bit(self):
+        # Duplicate indices, -0.0 adjoints (alone and summed with +0.0) and a
+        # transposed, non-contiguous g: the adjoint must be np.add.at's, byte for byte.
+        rng = np.random.default_rng(41)
+        x = ad.Tensor(rng.normal(size=(5, 7)), requires_grad=True)
+        cols = np.array([[3, 3, 0, 6], [1, 1, 1, 1], [2, 5, 2, 5], [6, 0, 3, 3], [4, 4, 4, 2]])
+        rows = [4, 0, 4, 2, 4, 1]
+        g_cols = rng.normal(size=(4, 5)).T
+        g_cols[0, :2], g_cols[1, 0], g_cols[1, 1:] = -0.0, -0.0, 0.0
+        g_rows = rng.normal(size=(7, 6)).T
+        g_rows[0, :3] = g_rows[2, :3] = -0.0
+        assert not g_cols.flags.c_contiguous and not g_rows.flags.c_contiguous
+        expected_cols = np.zeros(x.shape)
+        np.add.at(expected_cols, (np.arange(5)[:, None], cols), g_cols)
+        expected_rows = np.zeros(x.shape)
+        np.add.at(expected_rows, rows, g_rows)
+        (got_cols,) = ad.gather_columns(x, cols)._vjp(g_cols)
+        (got_rows,) = ad.gather_rows(x, rows)._vjp(g_rows)
+        assert got_cols.dtype == got_rows.dtype == np.float64
+        assert got_cols.tobytes() == expected_cols.tobytes()
+        assert got_rows.tobytes() == expected_rows.tobytes()
+
+    def test_gather_adjoint_of_an_empty_gather_is_float_zeros(self):
+        x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        (got,) = ad.gather_columns(x, np.zeros((2, 0), np.intp))._vjp(np.zeros((2, 0)))
+        assert got.dtype == np.float64 and got.tobytes() == np.zeros((2, 3)).tobytes()
+
+    def test_matmul_skips_the_adjoint_of_a_constant_operand(self):
+        rng = np.random.default_rng(42)
+        x, w_values, g = rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
+        w = ad.Tensor(w_values.copy(), requires_grad=True)
+        ga, gb = ad.matmul(ad.constant(x), w)._vjp(g)
+        assert ga is None
+        assert gb.tobytes() == (x.T @ g).tobytes()
+        ga, gb = ad.matmul(w, ad.constant(x.T[:3, :2]))._vjp(rng.normal(size=(4, 2)))
+        assert gb is None and ga.shape == (4, 3)
+        ad.backward(ad.total_sum(ad.mul(ad.matmul(ad.constant(x), w), ad.constant(g))))
+        assert w.grad.tobytes() == (x.T @ g).tobytes()
+
     def test_concat_rows_gradient_splits(self):
         a = ad.Tensor([[1.0, 2.0]], requires_grad=True)
         b = ad.Tensor([[3.0, 4.0], [5.0, 6.0]], requires_grad=True)

@@ -197,6 +197,23 @@ class TestBatchLoss:
         with pytest.raises(ValueError):
             nce.infonce_batch_loss(sims, [0, 1], [[1], [2, 3]], 0.1)
 
+    @pytest.mark.parametrize(
+        "positives, negatives, message",
+        [([0], [[1], [2], [3]], "1 positives and 3 rows of negatives for 2 queries"),
+         ([0, 1, 2], [[1]], "3 positives and 1 rows of negatives for 2 queries")],
+    )
+    def test_positives_and_negatives_of_different_lengths_are_named(self, positives, negatives, message):
+        sims = ad.constant(unit_rows(21, 2, 4) @ unit_rows(22, 5, 4).T)
+        with pytest.raises(ValueError, match=message):
+            nce.infonce_batch_loss(sims, positives, negatives, 0.1)
+
+    def test_array_inputs_give_the_same_loss_as_lists(self):
+        sims = ad.constant(unit_rows(23, 3, 4) @ unit_rows(24, 6, 4).T)
+        positives, negatives = [5, 0, 2], [[1, 1, 4], [3, 5, 2], [0, 1, 3]]
+        as_lists = nce.infonce_batch_loss(sims, positives, negatives, 0.2).item()
+        as_arrays = nce.infonce_batch_loss(sims, np.array(positives, np.intp), np.array(negatives, np.intp), 0.2)
+        assert as_arrays.item() == as_lists
+
 
 class TestSelectNegatives:
     def test_easy_mode_takes_least_similar(self):

@@ -309,3 +309,102 @@ class TestSelectNegatives:
     def test_random_mode_needs_a_generator(self):
         with pytest.raises(ValueError, match="generator"):
             neg.select_negatives(np.zeros((1, 3)), [0], 1, "random", 0.0, None)
+
+
+def assert_matches_per_row(sims, positives, k, mode, beta):
+    expected = [nce._select_negatives(sims[i], pos, k, mode, beta, None) for i, pos in enumerate(positives)]
+    picks, filtered, dup = neg.select_negatives(sims, positives, k, mode, beta, None)
+    assert picks.tolist() == [e[0] for e in expected]
+    assert [set(np.flatnonzero(row).tolist()) for row in filtered] == [e[1] for e in expected]
+    assert dup.tolist() == [e[2] for e in expected]
+
+
+def survivors_per_row(sims, positives, k, mode, beta):
+    """How many eligible keys sit at or below each row's k-th smallest key."""
+    key = -sims if mode == "hard" else sims.copy()
+    widths = []
+    for i, pos in enumerate(positives):
+        expected = nce._select_negatives(sims[i], pos, k, mode, beta, None)
+        eligible = [j for j in range(sims.shape[1]) if j != pos and j not in expected[1]]
+        keys = np.sort(key[i, eligible])
+        widths.append(int(np.count_nonzero(keys <= keys[min(k, len(keys)) - 1])))
+    return widths
+
+
+class TestSelectNegativesBlockEdges:
+    """The hard and easy paths lay each row's survivors into one +inf-padded
+    block; these cases make that block wider than k or cut it short."""
+
+    @pytest.mark.parametrize("mode", ["hard", "easy"])
+    def test_exact_ties_at_the_kth_key_keep_more_than_k_survivors(self, mode):
+        sims = np.array([
+            [0.9, 0.5, 0.3, 0.5, 0.5, 0.1, 0.5, 0.5, -0.2, 0.5],
+            [0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2],
+            [-0.4, 0.7, -0.4, 0.0, -0.4, -0.4, 0.6, -0.4, 0.3, -0.4],
+        ])
+        positives, k = [0, 4, 1], 3
+        assert max(survivors_per_row(sims, positives, k, mode, 0.5)) > k
+        assert_matches_per_row(sims, positives, k, mode, 0.5)
+
+    @pytest.mark.parametrize("mode", ["hard", "easy"])
+    def test_signed_zero_ties_rank_by_index(self, mode):
+        sims = np.array([
+            [0.0, -0.0, 0.0, -0.0, 0.5, -0.0, 0.0, -0.5],
+            [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 0.25, 0.0],
+        ])
+        for k in (1, 2, 4, 7, 9):
+            assert_matches_per_row(sims, [4, 6], k, mode, 0.6)
+
+    def test_rows_short_of_k_cycle_through_their_eligible_candidates(self):
+        # beta -0.25 leaves row 0 two eligible candidates and row 1 one: the
+        # k-th key of both rows is +inf, and their bound is clipped to a float.
+        sims = np.array([[0.5, 0.1, 0.2, 0.3, 0.4, 0.9], [0.8, 0.6, 0.7, 0.9, 0.56, 0.2]])
+        positives, k = [0, 0], 4
+        picks, _, dup = neg.select_negatives(sims, positives, k, "hard", -0.25, None)
+        assert dup.tolist() == [2, 3]
+        assert picks.tolist() == [[2, 1, 2, 1], [5, 5, 5, 5]]
+        assert_matches_per_row(sims, positives, k, "hard", -0.25)
+
+    @pytest.mark.parametrize("mode", ["hard", "easy"])
+    def test_k_above_the_candidate_count(self, mode):
+        sims = np.array([
+            [0.6, 0.9, -0.1, 0.4],
+            [0.3, 0.8, 0.3, -0.7],
+            [0.2, 0.2, 0.5, 0.2],
+            [-0.0, 0.0, 0.1, 0.7],
+            [0.9, -0.3, 0.4, 0.4],
+        ])
+        for k in (5, 9, 13):
+            assert_matches_per_row(sims, [0, 1, 2, 3, 0], k, mode, 0.1)
+
+    @pytest.mark.parametrize("mode", ["hard", "easy"])
+    @pytest.mark.parametrize("beta", [-0.3, -0.1, 0.02])
+    def test_matches_per_row_selection_at_training_shape(self, mode, beta):
+        # Each query's positive is a noisy copy of it, as after stage 1.
+        rng = np.random.default_rng(2024)
+        queries = rng.normal(size=(384, 16))
+        candidates = rng.normal(size=(480, 16))
+        positives = rng.permutation(480)[:384]
+        candidates[positives] = queries + 0.4 * rng.normal(size=queries.shape)
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+        candidates /= np.linalg.norm(candidates, axis=1, keepdims=True)
+        assert_matches_per_row(queries @ candidates.T, positives, 8, mode, beta)
+
+
+class TestSelectNegativesLayout:
+    """Picks feed the loss's fancy index as they are; a strided pick array
+    changes the order in which later row sums add, so every mode must
+    return a fresh C-contiguous intp array."""
+
+    @pytest.mark.parametrize("mode", neg.NEGATIVE_MODES)
+    @pytest.mark.parametrize("shape, k", [((7, 11), 3), ((6, 4), 9), ((40, 60), 8)])
+    def test_returned_arrays_have_the_documented_layout(self, mode, shape, k):
+        rng = np.random.default_rng(31)
+        sims = np.round(rng.uniform(-1, 1, size=shape), 1)
+        n, m = shape
+        positives = rng.integers(0, m, size=n)
+        sims[np.arange(n), positives] = 0.9
+        picks, filtered, dup = neg.select_negatives(sims, positives, k, mode, -0.2, np.random.default_rng(0))
+        assert picks.dtype == np.intp and picks.shape == (n, k) and picks.flags.c_contiguous
+        assert filtered.dtype == np.bool_ and filtered.shape == (n, m)
+        assert dup.shape == (n,)
