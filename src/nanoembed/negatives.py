@@ -134,9 +134,9 @@ def select_negatives(
     sims and -sims, ties included: a stable sort, in index order, of the
     eligible keys at or below a row's k-th key (k of them unless keys tie)
     gives its (key, index) ranking. neg is C-contiguous intp. Random mode
-    draws one ``rng.permutation`` per row in row order, so the generator is
-    consumed exactly as a per-query loop would consume it; the other modes
-    never touch ``rng``.
+    shuffles each row's eligible candidates with one ``rng.permuted`` call,
+    which consumes the generator exactly as one ``rng.permutation`` per row
+    in row order would; the other modes never touch ``rng``.
     """
     if mode not in NEGATIVE_MODES:
         raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}, got {mode!r}")
@@ -173,12 +173,15 @@ def select_negatives(
     if mode == "random":
         if rng is None:
             raise ValueError("random mode needs a generator")
-        ineligible = filtered.copy()
-        ineligible[rows, pos] = True
-        neg = np.empty((n, k), dtype=np.intp)
-        for i in range(n):
-            neg[i] = rng.permutation(np.flatnonzero(~ineligible[i]))[take[i]]
-        return neg, filtered, dup
+        # Random mode filters nothing, so every row's eligible candidates are
+        # the m - 1 indices other than its positive, and one row-wise
+        # rng.permuted of that n x (m - 1) matrix draws exactly what one
+        # rng.permutation per row, in row order, would. The gather reads a
+        # C-contiguous copy, so the picks keep the layout the loss sums in.
+        eligible_cols = np.arange(m - 1)[None, :]
+        eligible_cols = eligible_cols + (eligible_cols >= pos[:, None])
+        shuffled = np.ascontiguousarray(rng.permuted(eligible_cols, axis=1))
+        return np.take_along_axis(shuffled, take, axis=1), filtered, dup
 
     key = -sims if mode == "hard" else sims.copy()
     np.copyto(key, np.inf, where=filtered)

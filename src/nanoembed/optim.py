@@ -32,26 +32,40 @@ class OptimizerSettings:
             raise ValueError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
 
 
+def _buffers(store: dict[str, list[np.ndarray]], p: Parameter, count: int) -> list[np.ndarray]:
+    """The count per-parameter arrays an optimizer keeps in store, zeroed on first use."""
+    if p.name not in store:
+        store[p.name] = [np.zeros_like(p.grad) for _ in range(count)]
+    return store[p.name]
+
+
 class Sgd:
     """Plain gradient descent."""
 
     def __init__(self, learning_rate: float):
         self.learning_rate = float(learning_rate)
+        self._scaled: dict[str, list[np.ndarray]] = {}
 
     def step(self, params: Sequence[Parameter]) -> None:
         with np.errstate(over="ignore", invalid="ignore"):  # see check_finite
             for p in params:
                 if p.grad is not None:
-                    p.tensor.values -= self.learning_rate * p.grad
+                    (scaled,) = _buffers(self._scaled, p, 1)
+                    p.tensor.values -= np.multiply(self.learning_rate, p.grad, out=scaled)
 
 
 class Adam:
-    """Adam with bias correction; state is keyed by parameter name."""
+    """Adam with bias correction; state is keyed by parameter name.
+
+    Each parameter keeps its two moments and two work buffers, and every
+    step writes into them with out=, in the order of
+    lr * m_hat / (sqrt(v_hat) + eps): the same values, bit for bit, without
+    a temporary per operation.
+    """
 
     def __init__(self, learning_rate: float):
         self.learning_rate = float(learning_rate)
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._state: dict[str, list[np.ndarray]] = {}
         self._t = 0
 
     def step(self, params: Sequence[Parameter]) -> None:
@@ -61,15 +75,18 @@ class Adam:
                 if p.grad is None:
                     continue
                 g = p.grad
-                m = self._m.setdefault(p.name, np.zeros_like(g))
-                v = self._v.setdefault(p.name, np.zeros_like(g))
+                m, v, a, b = _buffers(self._state, p, 4)
                 m *= _BETA1
-                m += (1.0 - _BETA1) * g
+                m += np.multiply(1.0 - _BETA1, g, out=a)
                 v *= _BETA2
-                v += (1.0 - _BETA2) * g * g
-                m_hat = m / (1.0 - _BETA1**self._t)
-                v_hat = v / (1.0 - _BETA2**self._t)
-                p.tensor.values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
+                np.multiply(1.0 - _BETA2, g, out=a)
+                v += np.multiply(a, g, out=a)
+                np.divide(m, 1.0 - _BETA1**self._t, out=a)
+                np.multiply(self.learning_rate, a, out=a)
+                np.divide(v, 1.0 - _BETA2**self._t, out=b)
+                np.sqrt(b, out=b)
+                b += _EPS
+                p.tensor.values -= np.divide(a, b, out=a)
 
 
 def make_optimizer(settings: OptimizerSettings):

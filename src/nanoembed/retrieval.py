@@ -82,7 +82,8 @@ def _nested_json(payload) -> str:
 class RetrievalReport:
     """Per-query rankings plus aggregated cutoff metrics.
 
-    Row i of order holds the candidate indices ranked for query_ids[i].
+    Row i of order holds the candidate indices ranked for query_ids[i], in
+    the narrowest unsigned dtype that holds the largest index.
     """
 
     query_ids: list[str]
@@ -97,11 +98,19 @@ class RetrievalReport:
         handle.write('{\n  "precision_at": ')
         handle.write(_nested_json({str(k): v for k, v in self.precision_at.items()}))
         handle.write(',\n  "ranked": {')
-        quoted = np.array([json.dumps(cid) for cid in self.candidate_ids], dtype=object)
+        # Each candidate's row is ",\n      " + its JSON string, and a query's
+        # list is its rows in ranked order less the leading comma. Rows of
+        # one length gather as a fixed-width byte table (json.dumps writes
+        # ASCII); rows of several lengths join as strings, which measured
+        # faster than deleting a byte table's NUL padding.
+        quoted = [f",\n      {json.dumps(cid)}" for cid in self.candidate_ids]
+        fixed = len(set(map(len, quoted))) == 1
+        table = np.array(quoted, dtype=np.bytes_ if fixed else object)
         separator = "\n    "
         for i in sorted(range(len(self.query_ids)), key=self.query_ids.__getitem__):
-            items = ",\n      ".join(quoted[self.order[i]].tolist())
-            handle.write(f"{separator}{json.dumps(self.query_ids[i])}: [\n      {items}\n    ]")
+            ranked = table[self.order[i]]
+            items = ranked.tobytes().decode() if fixed else "".join(ranked.tolist())
+            handle.write(f"{separator}{json.dumps(self.query_ids[i])}: [{items[1:]}\n    ]")
             separator = ",\n    "
         handle.write("\n  }" if self.query_ids else "}")
         handle.write(',\n  "recall_at": ')
@@ -118,7 +127,7 @@ def evaluate_checkpoint(encoder: Encoder, corpus: Corpus, ks: Sequence[int] = (1
     """Rank every corpus query against all items; each query's labeled positive is its one relevant item."""
     queries = embed_items(encoder, corpus.queries())
     candidates = embed_items(encoder, corpus.items)
-    order = np.empty((len(queries), len(candidates)), dtype=np.intp)
+    order = np.empty((len(queries), len(candidates)), dtype=np.min_scalar_type(max(len(candidates) - 1, 0)))
     for i, row in enumerate(queries.values):
         order[i] = rank_candidates(row, candidates)
     # The metrics read no further down a ranking than the largest cutoff.

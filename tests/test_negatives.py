@@ -311,6 +311,24 @@ class TestSelectNegatives:
             neg.select_negatives(np.zeros((1, 3)), [0], 1, "random", 0.0, None)
 
 
+class TestRandomMode:
+    def test_draws_and_generator_state_match_per_row_permutations(self):
+        # One row-wise rng.permuted call must leave the generator exactly
+        # where one rng.permutation per row would, not only draw the same picks.
+        shapes = np.random.default_rng(83)
+        for _ in range(60):
+            n, m, k = (int(v) for v in shapes.integers((1, 2, 1), (60, 300, 40)))
+            sims = shapes.uniform(-1, 1, size=(n, m))
+            positives = shapes.integers(0, m, size=n)
+            seed = int(shapes.integers(2**32))
+            row_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = [nce._select_negatives(sims[i], pos, k, "random", 0.1, row_rng) for i, pos in enumerate(positives)]
+            picks, filtered, dup = neg.select_negatives(sims, positives, k, "random", 0.1, batch_rng)
+            assert picks.tolist() == [e[0] for e in expected]
+            assert not filtered.any() and dup.tolist() == [e[2] for e in expected]
+            assert batch_rng.bit_generator.state == row_rng.bit_generator.state
+
+
 def assert_matches_per_row(sims, positives, k, mode, beta):
     expected = [nce._select_negatives(sims[i], pos, k, mode, beta, None) for i, pos in enumerate(positives)]
     picks, filtered, dup = neg.select_negatives(sims, positives, k, mode, beta, None)

@@ -63,6 +63,72 @@ class TestAdam:
         assert np.array_equal(results[0], results[1])
 
 
+def reference_adam_step(lr, params, grads, m, v, t):
+    """Adam as written with one temporary per operation."""
+    for name, g in grads.items():
+        if g is None:
+            continue
+        m[name] *= 0.9
+        m[name] += (1.0 - 0.9) * g
+        v[name] *= 0.999
+        v[name] += (1.0 - 0.999) * g * g
+        m_hat = m[name] / (1.0 - 0.9**t)
+        v_hat = v[name] / (1.0 - 0.999**t)
+        params[name] -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+class TestBufferedUpdates:
+    """The optimizers write into per-parameter buffers; every value must
+    equal, bit for bit, the formula that allocates a temporary per operation."""
+
+    SHAPES = {"w": (7, 5), "b": (1, 5), "s": (3, 1)}
+
+    def random_grads(self, rng):
+        # Magnitudes over six decades; "b" skips every third step.
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3) for name, shape in self.SHAPES.items()}
+        if rng.integers(3) == 0:
+            grads["b"] = None
+        return grads
+
+    def run(self, opt, steps=300):
+        rng = np.random.default_rng(97)
+        params = [ad.Parameter(name, rng.normal(size=shape)) for name, shape in self.SHAPES.items()]
+        history = []
+        for _ in range(steps):
+            grads = self.random_grads(rng)
+            for p in params:
+                p.tensor.grad = grads[p.name]
+            opt.step(params)
+            history.append(grads)
+        return {p.name: p.values for p in params}, history
+
+    def test_adam_matches_the_unbuffered_formula(self):
+        opt = optim.Adam(0.01)
+        weights, history = self.run(opt)
+        rng = np.random.default_rng(97)
+        params = {name: rng.normal(size=shape) for name, shape in self.SHAPES.items()}
+        m = {name: np.zeros(shape) for name, shape in self.SHAPES.items()}
+        v = {name: np.zeros(shape) for name, shape in self.SHAPES.items()}
+        for t, grads in enumerate(history, start=1):
+            reference_adam_step(0.01, params, grads, m, v, t)
+        for name in self.SHAPES:
+            assert weights[name].tobytes() == params[name].tobytes()
+            got_m, got_v = opt._state[name][:2]
+            assert got_m.tobytes() == m[name].tobytes()
+            assert got_v.tobytes() == v[name].tobytes()
+
+    def test_sgd_matches_the_unbuffered_formula(self):
+        weights, history = self.run(optim.Sgd(0.01))
+        rng = np.random.default_rng(97)
+        params = {name: rng.normal(size=shape) for name, shape in self.SHAPES.items()}
+        for grads in history:
+            for name, g in grads.items():
+                if g is not None:
+                    params[name] -= 0.01 * g
+        for name in self.SHAPES:
+            assert weights[name].tobytes() == params[name].tobytes()
+
+
 class TestClipping:
     def test_norm_below_threshold_untouched(self):
         (p,) = quadratic_params()

@@ -333,8 +333,14 @@ def legacy_json(report, encoder, corpus):
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def narrowest_index_dtype(m):
+    """The smallest unsigned integer type whose range holds index m - 1."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if m - 1 <= np.iinfo(t).max)
+
+
 def assert_streams_legacy_bytes(encoder, corpus, ks):
     report = rt.evaluate_checkpoint(encoder, corpus, ks=ks)
+    assert report.order.dtype == narrowest_index_dtype(len(corpus.items))
     expected = legacy_json(report, encoder, corpus)
     buffer = io.StringIO()
     report.write_json(buffer)
@@ -349,6 +355,7 @@ class TestReportJson:
     @pytest.mark.parametrize("ks", [(1, 5, 10), (10, 2), ()])
     def test_matches_json_dumps(self, ks):
         corpus = cp.generate(cp.CorpusSpec(seed=43, n_groups=3, items_per_group=5, input_dim=6))
+        assert len({len(it.id) for it in corpus.items}) == 1  # ids of one length
         encoder = enc.Encoder(enc.EncoderConfig(6, 12, 6, seed=4))
         report = assert_streams_legacy_bytes(encoder, corpus, ks)
         assert sorted(report.precision_at) == sorted(ks)
@@ -376,3 +383,29 @@ class TestReportJson:
         assert report.precision_at == {1: 1.0}
         with pytest.raises(ValueError, match="k=2 exceeds the ranked list"):
             rt.evaluate_checkpoint(encoder, corpus, ks=(1, 2))
+
+    def test_ids_of_unequal_length(self):
+        # Planted false negatives add "#dup" ids among equal-length ones.
+        spec = cp.CorpusSpec(seed=44, n_groups=3, items_per_group=5, input_dim=6, false_negative_rate=0.5)
+        corpus = cp.generate(spec)
+        assert len({len(it.id) for it in corpus.items}) > 1 and any(it.id.endswith(cp.PLANTED_SUFFIX) for it in corpus.items)
+        assert_streams_legacy_bytes(enc.Encoder(enc.EncoderConfig(6, 12, 6, seed=4)), corpus, (1, 5))
+
+    def test_escaped_ids_of_equal_encoded_length(self):
+        # Each id's JSON string is 10 characters: escapes count as written.
+        rng = np.random.default_rng(48)
+        names = ["c-\u00e9", "c-abcdef", 'c-"\\\t', "c-\u65e5", "c-\n\"\\"]
+        assert {len(json.dumps(name)) for name in names} == {10}
+        items = [item(name, rng.normal(size=(2, 4))) for name in names]
+        pairs = [cp.PairRecord(item(f"q{i}", rng.normal(size=(2, 4))), name) for i, name in enumerate(names)]
+        assert_streams_legacy_bytes(enc.Encoder(enc.EncoderConfig(4, 8, 4, seed=5)), cp.Corpus(items, pairs), (1, 5))
+
+    @pytest.mark.parametrize("m, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_index_dtype_widens_past_256_candidates(self, m, dtype):
+        rng = np.random.default_rng(m)
+        items = [item(f"c{j:03d}", rng.normal(size=(1, 4))) for j in range(m)]
+        pairs = [cp.PairRecord(item(f"q{i}", rng.normal(size=(1, 4))), items[(i * 97) % m].id) for i in range(6)]
+        corpus = cp.Corpus(items, pairs)
+        encoder = enc.Encoder(enc.EncoderConfig(4, 8, 4, seed=7))
+        # legacy_json also checks every row against rank_scores of its scores.
+        assert assert_streams_legacy_bytes(encoder, corpus, (1, 5)).order.dtype == dtype
