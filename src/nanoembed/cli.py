@@ -131,7 +131,7 @@ def load_config(
         raise ValueError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"config file {path} is not valid UTF-8: {exc}") from None

@@ -30,7 +30,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .encoder import ItemRecord
-from .fields import check_types
+from .fields import check_types, is_number
 
 PLANTED_SUFFIX = "#dup"
 _PLANTED_BLEND = 0.5
@@ -250,6 +250,8 @@ def _item_to_json(item: ItemRecord) -> dict:
 
 def _item_from_json(obj: dict, line_number: int) -> ItemRecord:
     try:
+        if not all(map(is_number, np.asarray(obj["features"], dtype=object).flat)):
+            raise ValueError("features must be JSON numbers that a float holds")
         return ItemRecord(
             id=obj["id"],
             modality=obj["modality"],
@@ -292,7 +294,7 @@ def read_corpus(path) -> Corpus:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, RecursionError) as err:
                 raise ValueError(f"line {line_number}: invalid JSON: {err}") from err
             if not isinstance(obj, dict) or "kind" not in obj:
                 raise ValueError(f"line {line_number}: record must be an object with a 'kind'")

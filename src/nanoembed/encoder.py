@@ -202,16 +202,19 @@ class Encoder:
         Weights that overflow the forward pass raise NonUnitRowError, with
         no floating-point warning before it.
         """
-        width = self.config.input_dim
         if not isinstance(items, ItemRows):
-            items = ItemRows.of(items, width)
-        elif items.values.shape[1] != width:
-            raise ValueError(f"rows have feature width {items.values.shape[1]}, encoder expects {width}")
-        x = ad.constant(items.values)
+            items = ItemRows.of(items, self.config.input_dim)
+        return EmbeddingBatch(items.ids, self._embed(items.values, record))
+
+    def _embed(self, values: np.ndarray, record: bool) -> Tensor:
+        """The forward pass on last feature rows (n x input_dim). An overflow
+        leaves NaN rows, which the caller's EmbeddingBatch refuses."""
+        width = self.config.input_dim
+        if values.shape[1] != width:
+            raise ValueError(f"rows have feature width {values.shape[1]}, encoder expects {width}")
         weights = [p.tensor if record else ad.constant(p.values) for p in self._params]
         with np.errstate(over="ignore", invalid="ignore"):
-            embedded = _forward(x, weights, self.config.depth)
-        return EmbeddingBatch(items.ids, embedded)
+            return _forward(ad.constant(values), weights, self.config.depth)
 
 
 def _group_direction(seed: int, group: str, embed_dim: int) -> np.ndarray:
@@ -249,63 +252,52 @@ class TeacherEncoder:
 
     def encode(self, items: Sequence[ItemRecord] | ItemRows) -> EmbeddingBatch:
         rows = items if isinstance(items, ItemRows) else ItemRows.of(items, self.config.input_dim)
-        out = self._encoder.encode(rows, record=False).values.copy()
+        out = self._encoder._embed(rows.values, record=False)
         grouped = [i for i, group in enumerate(rows.groups) if group is not None]
         if grouped and self.offset_scale > 0.0:
             offsets = np.array([self.group_direction(group) for group in rows.groups[grouped]])
-            shifted = out[grouped] + self.offset_scale * offsets
-            # Row by row what shifted[i].dot(shifted[i]) gives, hence np.linalg.norm, bit for bit.
-            squares = np.matmul(shifted[:, None, :], shifted[:, :, None])[:, 0, 0]
-            out[grouped] = shifted / np.sqrt(squares)[:, None]
-        return EmbeddingBatch(rows.ids, ad.constant(out))
+            out.values[grouped] = _renormalized(out.values[grouped] + self.offset_scale * offsets)
+        return EmbeddingBatch(rows.ids, out)
 
 
-def fuse_multimodal(e_a: np.ndarray, e_b: np.ndarray) -> np.ndarray:
-    """Combine two unit embeddings by element-wise sum, then re-normalize."""
-    a = np.asarray(e_a, dtype=np.float64).reshape(-1)
-    b = np.asarray(e_b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(f"embedding dims differ: {a.shape[0]} vs {b.shape[0]}")
-    for name, v in (("first", a), ("second", b)):
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"{name} embedding has norm {norm!r}, expected unit")
-    s = a + b
-    norm = np.linalg.norm(s)
-    if norm < 1e-12:
-        raise ValueError("embeddings cancel; fused direction is undefined")
-    return s / norm
+def _renormalized(rows: np.ndarray) -> np.ndarray:
+    """Each row divided by its L2 norm; a row that sums to zero, as two
+    opposite embeddings do, raises ValueError."""
+    # Row by row what rows[i].dot(rows[i]) gives, hence np.linalg.norm, bit for bit.
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    if (norms < 1e-12).any():
+        raise ValueError(f"embeddings cancel in row {int((norms < 1e-12).argmax())}; its direction is undefined")
+    return rows / norms[:, None]
 
 
 def embed_items(encoder: Encoder, items: Sequence[ItemRecord]) -> EmbeddingBatch:
     """Gradient-free embedding of mixed-modality items.
 
-    Fused items split their position sequence in half; the halves of every
-    fused item are encoded in one batch of their own, apart from the plain
-    items, and each pair is combined with fuse_multimodal.
+    Plain items are encoded in one batch. A fused item splits its position
+    sequence in half; the last rows of every fused item's halves are
+    encoded in a second batch, and each pair is summed and re-normalized.
     """
     items = list(items)
     if not items:
         raise ValueError("cannot embed an empty batch")
-    plain = [it for it in items if it.modality != "fused"]
-    fused = [it for it in items if it.modality == "fused"]
-    rows: dict[str, np.ndarray] = {}
-    if plain:
-        rows.update(zip([it.id for it in plain], encoder.encode(plain, record=False).values))
     width = encoder.config.input_dim
-    for it in fused:
-        if it.features.shape[0] < 2:
-            raise ValueError(f"fused item {it.id!r} needs at least 2 positions")
-        if it.features.shape[1] != width:
-            raise ValueError(f"item {it.id!r} has feature width {it.features.shape[1]}, encoder expects {width}")
+    fused = [i for i, it in enumerate(items) if it.modality == "fused"]
+    plain = [i for i, it in enumerate(items) if it.modality != "fused"]
+    out = np.empty((len(items), encoder.config.embed_dim))
+    if plain:
+        out[plain] = encoder._embed(ItemRows.of([items[i] for i in plain], width).values, record=False).values
+    for i in fused:
+        shape = items[i].features.shape
+        if shape[0] < 2:
+            raise ValueError(f"fused item {items[i].id!r} needs at least 2 positions")
+        if shape[1] != width:
+            raise ValueError(f"item {items[i].id!r} has feature width {shape[1]}, encoder expects {width}")
     if fused:
         # The two halves of a fused item end at features[half - 1] and features[-1].
-        ids = np.array([f"{it.id}/{side}" for it in fused for side in "ab"], dtype=object)
-        last = [it.features[i] for it in fused for i in (it.features.shape[0] // 2 - 1, -1)]
-        pairs = encoder.encode(ItemRows(ids, np.full(len(ids), None), np.stack(last)), record=False).values
-        for i, it in enumerate(fused):
-            rows[it.id] = fuse_multimodal(pairs[2 * i], pairs[2 * i + 1])
-    return EmbeddingBatch([it.id for it in items], ad.constant(np.stack([rows[it.id] for it in items])))
+        last = [items[i].features[j] for i in fused for j in (items[i].features.shape[0] // 2 - 1, -1)]
+        pairs = encoder._embed(np.stack(last), record=False).values
+        out[fused] = _renormalized(pairs[0::2] + pairs[1::2])
+    return EmbeddingBatch([it.id for it in items], ad.constant(out))
 
 
 def save_checkpoint(path, encoder: Encoder) -> None:
@@ -352,7 +344,7 @@ def load_checkpoint(path) -> Encoder:
     config_blob = take(config_len, "config")
     try:
         encoder = Encoder(EncoderConfig(**json.loads(config_blob.decode())))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: bad encoder config: {exc}") from None
     (n_params,) = unpack("<I", "array count")
     arrays = []

@@ -54,10 +54,10 @@ class ContrastiveTriple:
 
 
 def infonce_hard_loss(triple: ContrastiveTriple, tau: float) -> Tensor:
-    """-log of the positive's softmax weight among positive plus negatives."""
-    candidates = ad.concat_rows([triple.e_pos, triple.e_neg])
-    logits = ad.scale(ad.matmul(triple.e_q, ad.transpose(candidates)), 1.0 / ad.check_tau(tau))
-    return ad.sub(ad.row_log_sum_exp(logits), ad.gather_columns(logits, [[0]]))
+    """-log of the positive's softmax weight among positive plus negatives:
+    infonce_batch_loss of one query against the rows [e_pos; e_neg]."""
+    sims = ad.matmul(triple.e_q, ad.transpose(ad.concat_rows([triple.e_pos, triple.e_neg])))
+    return infonce_batch_loss(sims, [0], [np.arange(1, sims.shape[1])], tau)
 
 
 def infonce_batch_loss(

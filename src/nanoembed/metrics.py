@@ -69,6 +69,8 @@ def read_trace(path: str | Path) -> list[StepMetrics]:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {line_number}: invalid JSON: {exc.msg}") from exc
+            except RecursionError as exc:
+                raise ValueError(f"line {line_number}: invalid JSON: {exc}") from None
             if not isinstance(raw, dict):
                 raise ValueError(f"line {line_number}: record is not an object")
             if set(raw) != set(names):

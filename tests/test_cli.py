@@ -116,6 +116,16 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match="not valid JSON"):
             load_config(path)
 
+    def test_deeply_nested_config_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": ' + "[" * 200_000)
+        capsys.readouterr()
+        assert run("stage1", "--config", config, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config} is not valid JSON: maximum recursion depth exceeded")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_bytes(json.dumps(base_config(output_dir="runs-X")).encode().replace(b"X", b"\xff"))
@@ -669,6 +679,42 @@ class TestDamagedCorpus:
         err = capsys.readouterr().err
         assert err == f"error: line {bad + 1}: positive must be a string, got {positive!r}\n"
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("kind", ["item", "pair"])
+    @pytest.mark.parametrize("value", ["1.5", True, 10**400], ids=["string", "bool", "huge_int"])
+    def test_features_must_be_json_numbers(self, tmp_path, capsys, kind, value):
+        corpus = tmp_path / "corpus.jsonl"
+        cp.write_corpus(corpus, cp.generate(cp.CorpusSpec(**CORPUS)))
+        lines = corpus.read_text().splitlines()
+        bad = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+        record = json.loads(lines[bad])
+        (record["query"] if kind == "pair" else record)["features"][1][2] = value
+        lines[bad] = json.dumps(record)
+        corpus.write_text("\n".join(lines) + "\n")
+        config = write_config(
+            tmp_path, corpus={"path": str(corpus)}, encoder={"input_dim": 8, "hidden_dim": 16, "embed_dim": 8}
+        )
+        capsys.readouterr()
+        assert run("eval", "--config", config, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line {bad + 1}: bad item record: features must be JSON numbers that a float holds\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_deeply_nested_features_name_the_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        cp.write_corpus(corpus, cp.generate(cp.CorpusSpec(**CORPUS)))
+        lines = corpus.read_text().splitlines()
+        lines[2] = '{"kind": "item", "id": "deep", "modality": "text", "features": ' + "[" * 200_000
+        corpus.write_text("\n".join(lines) + "\n")
+        config = write_config(
+            tmp_path, corpus={"path": str(corpus)}, encoder={"input_dim": 8, "hidden_dim": 16, "embed_dim": 8}
+        )
+        capsys.readouterr()
+        assert run("eval", "--config", config, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: invalid JSON: maximum recursion depth exceeded")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_non_utf8_corpus_names_file_and_line(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"

@@ -399,50 +399,57 @@ class TestItemRows:
         assert (teacher.encode(enc.ItemRows.of(items, 12)).values == expected).all()
 
 
-class TestFusion:
-    def test_identical_vectors_fuse_to_themselves(self):
-        u = np.array([0.6, 0.8])
-        np.testing.assert_allclose(enc.fuse_multimodal(u, u), u, rtol=0, atol=1e-12)
+class TestRenormalized:
+    @pytest.mark.parametrize("width", [7, 16, 32])
+    def test_rows_equal_the_per_row_norm_by_bytes(self, width):
+        rows = np.random.default_rng(width).normal(size=(57, width)) * 3.0
+        expected = np.stack([row / np.linalg.norm(row) for row in rows])
+        assert enc._renormalized(rows).tobytes() == expected.tobytes()
 
-    def test_orthogonal_vectors_fuse_to_scaled_sum(self):
-        u = np.array([1.0, 0.0])
-        v = np.array([0.0, 1.0])
-        expected = (u + v) / np.sqrt(2.0)
-        np.testing.assert_allclose(enc.fuse_multimodal(u, v), expected, rtol=0, atol=1e-12)
+    def test_cancelling_rows_rejected(self):
+        u = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="embeddings cancel in row 1"):
+            enc._renormalized(u + np.array([[0.6, 0.8], [-1.0, 0.0], [0.0, 1.0]]))
 
-    def test_fusion_is_commutative(self):
-        rng = np.random.default_rng(0)
-        u = rng.normal(size=5)
-        u /= np.linalg.norm(u)
-        v = rng.normal(size=5)
-        v /= np.linalg.norm(v)
-        assert np.array_equal(enc.fuse_multimodal(u, v), enc.fuse_multimodal(v, u))
 
-    def test_opposite_vectors_rejected(self):
-        u = np.array([1.0, 0.0])
-        with pytest.raises(ValueError, match="embeddings cancel"):
-            enc.fuse_multimodal(u, -u)
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="embedding dims differ: 2 vs 3"):
-            enc.fuse_multimodal(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-
-    def test_non_unit_inputs_rejected(self):
-        with pytest.raises(ValueError, match="first embedding has norm"):
-            enc.fuse_multimodal(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+def fused_oracle(model, items):
+    """Each fused item's row as (a + b) / ||a + b||, with a and b the
+    embeddings of its two half sequences, encoded as records in one batch."""
+    fused = [it for it in items if it.modality == "fused"]
+    halves = []
+    for it in fused:
+        half = it.features.shape[0] // 2
+        halves += [enc.ItemRecord(f"{it.id}-a", "text", it.features[:half]),
+                   enc.ItemRecord(f"{it.id}-b", "image", it.features[half:])]
+    if not halves:
+        return {}
+    pairs = model.encode(halves, record=False).values
+    sums = [pairs[2 * i] + pairs[2 * i + 1] for i in range(len(fused))]
+    return {it.id: s / np.linalg.norm(s) for it, s in zip(fused, sums)}
 
 
 class TestEmbedItems:
-    def test_fused_item_is_sum_of_half_sequences(self):
-        model = enc.Encoder(CFG)
-        rng = np.random.default_rng(6)
-        feats = rng.normal(size=(4, CFG.input_dim))
-        fused = enc.ItemRecord("f", "fused", feats)
-        out = enc.embed_items(model, [fused]).values[0]
+    def mixed(self, rng, layout, input_dim):
+        plain = make_items(rng, 5, input_dim, prefix="t")
+        fused = make_items(rng, 4, input_dim, seq_lens=[2, 3, 4, 5], modality="fused", prefix="f")
+        if layout == "plain":
+            return plain
+        if layout == "fused":
+            return fused
+        return [it for pair in zip(plain, fused) for it in pair] + plain[4:]
 
-        e_a = model.encode([enc.ItemRecord("x", "text", feats[:2])], record=False).values[0]
-        e_b = model.encode([enc.ItemRecord("y", "text", feats[2:])], record=False).values[0]
-        np.testing.assert_allclose(out, enc.fuse_multimodal(e_a, e_b), rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("embed_dim", [5, 16, 32])
+    @pytest.mark.parametrize("layout", ["plain", "fused", "interleaved"])
+    def test_rows_keep_order_and_equal_the_per_item_oracle(self, layout, embed_dim):
+        model = enc.Encoder(dataclasses.replace(CFG, embed_dim=embed_dim))
+        items = self.mixed(np.random.default_rng(embed_dim), layout, CFG.input_dim)
+        batch = enc.embed_items(model, items)
+        assert batch.ids == [it.id for it in items]
+        plain = [it for it in items if it.modality != "fused"]
+        rows = dict(zip([it.id for it in plain], model.encode(plain, record=False).values)) if plain else {}
+        rows.update(fused_oracle(model, items))
+        for it, row in zip(items, batch.values):
+            assert row.tobytes() == rows[it.id].tobytes(), it.id
 
     def test_mixed_batch_keeps_order(self):
         model = enc.Encoder(CFG)
@@ -458,29 +465,28 @@ class TestEmbedItems:
         np.testing.assert_array_equal(batch.values[0], plain[0])
         np.testing.assert_array_equal(batch.values[2], plain[1])
 
-    def test_fused_corpus_takes_two_encode_calls(self, monkeypatch):
-        model = enc.Encoder(CFG)
-        rng = np.random.default_rng(8)
-        plain = make_items(rng, 5, CFG.input_dim, prefix="t")
-        fused = make_items(rng, 4, CFG.input_dim, seq_lens=[2, 3, 4, 5], modality="fused", prefix="f")
-        items = [it for pair in zip(plain, fused) for it in pair] + plain[4:]
-        calls = []
-        encode = enc.Encoder.encode
+    def test_one_forward_pass_per_modality_and_one_batch_per_call(self, monkeypatch):
+        passes, batches = [], []
+        embed, batch_class = enc.Encoder._embed, enc.EmbeddingBatch
 
-        def counting(self, batch, record=True):
-            calls.append(len(batch))
-            return encode(self, batch, record)
+        def counting_embed(self, values, record):
+            passes.append(len(values))
+            return embed(self, values, record)
 
-        monkeypatch.setattr(enc.Encoder, "encode", counting)
-        batch = enc.embed_items(model, items)
-        assert calls == [5, 8]
-        assert batch.ids == [it.id for it in items]
-        for it, row in zip(items, batch.values):
-            if it.modality == "fused":
-                half = it.features.shape[0] // 2
-                e_a = encode(model, [enc.ItemRecord("x", "text", it.features[:half])], False).values[0]
-                e_b = encode(model, [enc.ItemRecord("y", "image", it.features[half:])], False).values[0]
-                np.testing.assert_allclose(row, enc.fuse_multimodal(e_a, e_b), rtol=0, atol=1e-12)
+        class CountingBatch(batch_class):
+            def __init__(self, ids, matrix):
+                batches.append(len(ids))
+                super().__init__(ids, matrix)
+
+        monkeypatch.setattr(enc.Encoder, "_embed", counting_embed)
+        monkeypatch.setattr(enc, "EmbeddingBatch", CountingBatch)
+        items = self.mixed(np.random.default_rng(8), "interleaved", CFG.input_dim)
+        enc.embed_items(enc.Encoder(CFG), items)
+        assert (passes, batches) == ([5, 8], [9])
+        passes.clear()
+        batches.clear()
+        enc.TeacherEncoder(CFG).encode(TestTeacher().grouped_items(np.random.default_rng(9)))
+        assert (passes, batches) == ([12], [12])
 
     def test_single_position_fused_item_rejected(self):
         model = enc.Encoder(CFG)
@@ -540,6 +546,13 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         path.write_bytes(b"NEC1" + struct.pack("<HI", 1, len(blob)) + blob + struct.pack("<I", 0))
         with pytest.raises(ValueError, match="bad encoder config"):
+            enc.load_checkpoint(path)
+
+    def test_deeply_nested_config_raises_value_error(self, tmp_path):
+        blob = b'{"input_dim": ' + b"[" * 200_000
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"NEC1" + struct.pack("<HI", 1, len(blob)) + blob + struct.pack("<I", 0))
+        with pytest.raises(ValueError, match="model.bin: bad encoder config: maximum recursion depth exceeded"):
             enc.load_checkpoint(path)
 
     def test_load_mismatched_names_rejected(self):

@@ -55,6 +55,13 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match="^line 2: invalid JSON"):
             mt.read_trace(path)
 
+    def test_deeply_nested_line_reports_line_number(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"step": 0, "loss": 0.0, "grad_norm": 0.0, "false_neg_pct": 0, "duplication_rate": 0}\n'
+                        + '{"step": ' + "[" * 200_000 + "\n")
+        with pytest.raises(ValueError, match="^line 2: invalid JSON: maximum recursion depth exceeded"):
+            mt.read_trace(path)
+
     def test_missing_and_extra_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"step": 0, "loss": 0.0}\n')
