@@ -408,17 +408,21 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> None:
+def backward(root: Tensor, seed: np.ndarray | None = None) -> None:
     """Accumulate d(loss)/d(leaf) into every leaf requiring gradients.
 
-    A leaf is a node without a vjp. Each call deposits exactly one adjoint
-    per leaf, and repeated calls without an explicit reset are additive.
-    Interior nodes and a constant loss get no ``grad``.
+    A 1x1 loss root starts with adjoint 1. A seed of the root's shape starts
+    it with d(loss)/d(root) for a loss computed elsewhere, as the gradient
+    cache's pass 2 does. A leaf is a node without a vjp. Each call deposits
+    exactly one adjoint per leaf, and repeated calls without an explicit
+    reset are additive. Interior nodes and a constant root get no ``grad``.
     """
-    if loss.shape != (1, 1):
-        raise ValueError(f"loss must be 1x1, got shape {loss.shape}")
-    order = _topo_order(loss)
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+    if seed is None and root.shape != (1, 1):
+        raise ValueError(f"loss must be 1x1, got shape {root.shape}")
+    if seed is not None and seed.shape != root.shape:
+        raise ValueError(f"seed shape {seed.shape} != root shape {root.shape}")
+    order = _topo_order(root)
+    adjoint: dict[int, np.ndarray] = {id(root): np.ones((1, 1)) if seed is None else seed}
     for node in reversed(order):
         g = adjoint.pop(id(node), None)
         if g is None or not node.requires_grad:

@@ -248,7 +248,7 @@ def _item_to_json(item: ItemRecord) -> dict:
     }
 
 
-def _item_from_json(obj: dict, line_number: int) -> ItemRecord:
+def _item_from_json(obj: dict, where: str) -> ItemRecord:
     try:
         if not all(map(is_number, np.asarray(obj["features"], dtype=object).flat)):
             raise ValueError("features must be JSON numbers that a float holds")
@@ -259,7 +259,7 @@ def _item_from_json(obj: dict, line_number: int) -> ItemRecord:
             group=obj.get("group"),
         )
     except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"line {line_number}: bad item record: {err}") from err
+        raise ValueError(f"{where}: bad item record: {err}") from err
 
 
 def write_corpus(path, corpus: Corpus) -> None:
@@ -286,38 +286,39 @@ def read_corpus(path) -> Corpus:
     # Undecodable bytes come through as lone surrogates, so the bad line can be named.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_number, line in enumerate(fh, start=1):
+            where = f"{path}: line {line_number}"
             try:
                 line.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as err:
-                raise ValueError(f"{path}: line {line_number}: not valid UTF-8: {err}") from None
+                raise ValueError(f"{where}: not valid UTF-8: {err}") from None
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except (json.JSONDecodeError, RecursionError) as err:
-                raise ValueError(f"line {line_number}: invalid JSON: {err}") from err
+                raise ValueError(f"{where}: invalid JSON: {err}") from err
             if not isinstance(obj, dict) or "kind" not in obj:
-                raise ValueError(f"line {line_number}: record must be an object with a 'kind'")
+                raise ValueError(f"{where}: record must be an object with a 'kind'")
             if obj["kind"] == "item":
-                item = _item_from_json(obj, line_number)
+                item = _item_from_json(obj, where)
                 if item.id in seen:
-                    raise ValueError(f"line {line_number}: duplicate id {item.id!r}")
+                    raise ValueError(f"{where}: duplicate id {item.id!r}")
                 seen.add(item.id)
                 items.append(item)
             elif obj["kind"] == "pair":
                 if "query" not in obj or "positive" not in obj:
-                    raise ValueError(f"line {line_number}: pair record needs 'query' and 'positive'")
-                query = _item_from_json(obj["query"], line_number)
+                    raise ValueError(f"{where}: pair record needs 'query' and 'positive'")
+                query = _item_from_json(obj["query"], where)
                 if query.id in seen:
-                    raise ValueError(f"line {line_number}: duplicate id {query.id!r}")
+                    raise ValueError(f"{where}: duplicate id {query.id!r}")
                 seen.add(query.id)
                 planted = obj.get("is_false_negative_planted", False)
                 try:
                     pairs.append(PairRecord(query, obj["positive"], planted))
                 except ValueError as err:
-                    raise ValueError(f"line {line_number}: {err}") from err
+                    raise ValueError(f"{where}: {err}") from err
             else:
-                raise ValueError(f"line {line_number}: unknown kind {obj['kind']!r}")
+                raise ValueError(f"{where}: unknown kind {obj['kind']!r}")
     if not items and not pairs:
         raise ValueError(f"{path}: no records")
     return Corpus(items, pairs)

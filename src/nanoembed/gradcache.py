@@ -5,8 +5,9 @@ Pass 1 encodes every sub-batch without recording, assembling the complete
 embedding matrix as a single leaf.  The loss (and any negative mining) runs
 on that leaf, and one backward call yields d(loss)/d(embeddings).  Pass 2
 re-encodes each sub-batch with recording and backpropagates the cached
-embedding gradient slice into the parameters; summing slice contributions
-reproduces the naive full-batch gradient because encoding is deterministic.
+embedding gradient slice, as the seed of ``backward``, into the parameters;
+summing slice contributions reproduces the naive full-batch gradient
+because encoding is deterministic.
 """
 
 from __future__ import annotations
@@ -154,26 +155,23 @@ def cached_step(
     rows = items if isinstance(items, ItemRows) else ItemRows.of(items, encoder.config.input_dim)
     params = encoder.parameters()
 
-    blocks = [encoder.encode(rows[a:b], record=False) for a, b in plan.ranges]
-    full_values = np.vstack([block.values for block in blocks])
-    del blocks
+    # The one EmbeddingBatch on the assembled leaf checks ids and norms for
+    # both passes: pass 2 runs the same forward pass on the same rows.
+    values = rows.values
+    full_values = np.vstack([encoder._embed(values[a:b], record=False).values for a, b in plan.ranges])
     leaf = ad.Tensor(full_values, requires_grad=True)
-    emb = EmbeddingBatch(rows.ids, leaf)
-
-    loss = objective.loss_on(emb)
+    loss = objective.loss_on(EmbeddingBatch(rows.ids, leaf))
     ad.backward(loss)
     loss_value = loss.item()
-    embedding_grad = leaf.grad.copy()
-    del loss, emb, leaf  # drop the loss graph before measuring pass-2 memory
+    embedding_grad = leaf.grad
+    del loss, leaf  # drop the loss graph before measuring pass-2 memory
 
     for p in params:
         p.zero_grad()
     ad.reset_peak_live_elements()
     live_start = ad.live_elements()
     for a, b in plan.ranges:
-        sub = encoder.encode(rows[a:b])
-        pseudo = ad.total_sum(ad.mul(sub.matrix, ad.constant(embedding_grad[a:b])))
-        ad.backward(pseudo)
+        ad.backward(encoder._embed(values[a:b], record=True), embedding_grad[a:b])
     stats = CacheStats(full_values, live_start, ad.peak_live_elements())
     grads = {p.name: p.grad.copy() for p in params if p.grad is not None}
     return grads, loss_value, stats

@@ -65,18 +65,19 @@ def read_trace(path: str | Path) -> list[StepMetrics]:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {line_number}"
             try:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_number}: invalid JSON: {exc.msg}") from exc
+                raise ValueError(f"{where}: invalid JSON: {exc.msg}") from exc
             except RecursionError as exc:
-                raise ValueError(f"line {line_number}: invalid JSON: {exc}") from None
+                raise ValueError(f"{where}: invalid JSON: {exc}") from None
             if not isinstance(raw, dict):
-                raise ValueError(f"line {line_number}: record is not an object")
+                raise ValueError(f"{where}: record is not an object")
             if set(raw) != set(names):
-                raise ValueError(f"line {line_number}: fields {sorted(raw)} != {sorted(names)}")
+                raise ValueError(f"{where}: fields {sorted(raw)} != {sorted(names)}")
             try:
                 records.append(StepMetrics(**raw))
             except ValueError as exc:
-                raise ValueError(f"line {line_number}: {exc}") from exc
+                raise ValueError(f"{where}: {exc}") from exc
     return records

@@ -227,6 +227,42 @@ class TestBackward:
         with pytest.raises(ValueError, match="loss must be 1x1"):
             ad.backward(t)
 
+    def test_seed_gives_the_leaves_the_pseudo_loss_gradients_by_bytes(self):
+        # An encoder-shaped graph whose root is an n x d embedding: a seed g
+        # must deposit what backward(total_sum(root * g)) does, bit for bit.
+        rng = np.random.default_rng(11)
+        x = ad.constant(rng.normal(size=(6, 5)))
+        weights = [rng.normal(size=shape) for shape in ((5, 4), (1, 4), (4, 3))]
+        seed = rng.normal(size=(6, 3))
+        kept = seed.copy()
+
+        def leaf_grads(seeded):
+            w, b, p = (ad.Tensor(values, requires_grad=True) for values in weights)
+            root = ad.row_l2_normalize(ad.matmul(ad.tanh(ad.add(ad.matmul(x, w), b)), p))
+            if seeded:
+                ad.backward(root, seed)
+            else:
+                ad.backward(ad.total_sum(ad.mul(root, ad.constant(seed))))
+            assert root.grad is None
+            return [leaf.grad.tobytes() for leaf in (w, b, p)]
+
+        assert leaf_grads(seeded=True) == leaf_grads(seeded=False)
+        assert seed.tobytes() == kept.tobytes()
+
+    def test_seeded_leaf_root_gets_a_copy_of_the_seed(self):
+        t = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
+        seed = np.arange(6.0).reshape(2, 3)
+        ad.backward(t, seed)
+        seed[0, 0] = 9.0
+        np.testing.assert_array_equal(t.grad, np.arange(6.0).reshape(2, 3))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (6,)])
+    def test_seed_of_another_shape_rejected(self, shape):
+        t = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match=r"seed shape .* != root shape \(2, 3\)"):
+            ad.backward(ad.tanh(t), np.ones(shape))
+        assert t.grad is None
+
     def test_diamond_graph_accumulates_once_per_path(self):
         # loss = sum(t + t) so dloss/dt = 2 exactly once per backward call
         t = ad.Tensor([[3.0]], requires_grad=True)

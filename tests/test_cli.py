@@ -374,18 +374,18 @@ class TestStage2:
         cached = write_config(tmp_path, name="cached.json", gradcache={"enabled": True, "sub_batch": 5})
         corpus = load_config(cached).load_corpus()
         calls, rows = [], []
-        select, encode = ng.select_negatives, Encoder.encode
+        select, embed = ng.select_negatives, Encoder._embed
 
         def counting_select(*args, **kwargs):
             calls.append(1)
             return select(*args, **kwargs)
 
-        def counting_encode(self, items, *args, **kwargs):
-            rows.append(len(items))
-            return encode(self, items, *args, **kwargs)
+        def counting_embed(self, values, *args, **kwargs):
+            rows.append(len(values))
+            return embed(self, values, *args, **kwargs)
 
         monkeypatch.setattr(ng, "select_negatives", counting_select)
-        monkeypatch.setattr(Encoder, "encode", counting_encode)
+        monkeypatch.setattr(Encoder, "_embed", counting_embed)
         assert run("stage2", "--config", cached, "--checkpoint", checkpoint, "--out", tmp_path / "on") == 0
         assert len(calls) == 12
         assert sum(rows) == 12 * 2 * (len(corpus.pairs) + len(corpus.items))
@@ -660,7 +660,7 @@ class TestDamagedCorpus:
         capsys.readouterr()
         assert run("eval", "--config", config, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
-        assert err == f"error: line {bad + 1}: is_false_negative_planted must be true or false, got {flag!r}\n"
+        assert err == f"error: {corpus}: line {bad + 1}: is_false_negative_planted must be true or false, got {flag!r}\n"
         assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("positive", [[1, 2], {"id": "c00-00"}, 5], ids=["list", "object", "int"])
@@ -677,7 +677,7 @@ class TestDamagedCorpus:
         capsys.readouterr()
         assert run("eval", "--config", config, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
-        assert err == f"error: line {bad + 1}: positive must be a string, got {positive!r}\n"
+        assert err == f"error: {corpus}: line {bad + 1}: positive must be a string, got {positive!r}\n"
         assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("kind", ["item", "pair"])
@@ -697,7 +697,9 @@ class TestDamagedCorpus:
         capsys.readouterr()
         assert run("eval", "--config", config, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
-        assert err == f"error: line {bad + 1}: bad item record: features must be JSON numbers that a float holds\n"
+        assert err == (
+            f"error: {corpus}: line {bad + 1}: bad item record: features must be JSON numbers that a float holds\n"
+        )
         assert not (tmp_path / "out" / "report.json").exists()
 
     def test_deeply_nested_features_name_the_line(self, tmp_path, capsys):
@@ -712,8 +714,27 @@ class TestDamagedCorpus:
         capsys.readouterr()
         assert run("eval", "--config", config, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: line 3: invalid JSON: maximum recursion depth exceeded")
+        assert err.startswith(f"error: {corpus}: line 3: invalid JSON: maximum recursion depth exceeded")
         assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line", ["{not json", "[1, 2]", '{"kind": "mystery"}'], ids=["invalid_json", "not_an_object", "unknown_kind"]
+    )
+    def test_every_line_error_names_file_and_line(self, tmp_path, capsys, line):
+        corpus = tmp_path / "data" / "corpus.jsonl"
+        corpus.parent.mkdir()
+        cp.write_corpus(corpus, cp.generate(cp.CorpusSpec(**CORPUS)))
+        lines = corpus.read_text().splitlines()
+        lines[2] = line
+        corpus.write_text("\n".join(lines) + "\n")
+        config = write_config(
+            tmp_path, corpus={"path": str(corpus)}, encoder={"input_dim": 8, "hidden_dim": 16, "embed_dim": 8}
+        )
+        capsys.readouterr()
+        assert run("eval", "--config", config, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}: line 3: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_non_utf8_corpus_names_file_and_line(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the synthetic corpus generator and the JSONL corpus format."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -246,19 +247,19 @@ class TestCorpusRoundTrip:
         lines = path.read_text().splitlines()
         lines[2] = "{not json"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="^line 3: invalid JSON"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: invalid JSON"):
             cp.read_corpus(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "mystery"}\n')
-        with pytest.raises(ValueError, match="^line 1: unknown kind 'mystery'"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: unknown kind 'mystery'"):
             cp.read_corpus(path)
 
     def test_item_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "item", "id": "a"}\n')
-        with pytest.raises(ValueError, match="^line 1: bad item record"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: bad item record"):
             cp.read_corpus(path)
 
     def test_missing_positive_detected_on_read(self, tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the per-step metrics records and trace files."""
 
+import re
+
 import pytest
 
 from nanoembed import metrics as mt
@@ -52,41 +54,59 @@ class TestTraceFiles:
     def test_invalid_json_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"step": 0, "loss": 0.0, "grad_norm": 0.0, "false_neg_pct": 0, "duplication_rate": 0}\nnot json\n')
-        with pytest.raises(ValueError, match="^line 2: invalid JSON"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: invalid JSON"):
             mt.read_trace(path)
 
     def test_deeply_nested_line_reports_line_number(self, tmp_path):
         path = tmp_path / "deep.jsonl"
         path.write_text('{"step": 0, "loss": 0.0, "grad_norm": 0.0, "false_neg_pct": 0, "duplication_rate": 0}\n'
                         + '{"step": ' + "[" * 200_000 + "\n")
-        with pytest.raises(ValueError, match="^line 2: invalid JSON: maximum recursion depth exceeded"):
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(str(path))}: line 2: invalid JSON: maximum recursion depth exceeded"
+        ):
             mt.read_trace(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["not json", "[1, 2]", '{"step": 0}', '{"step": -1, "loss": 0.0, "grad_norm": 0.0, "false_neg_pct": 0, '
+         '"duplication_rate": 0}'],
+        ids=["invalid_json", "not_an_object", "missing_fields", "bad_value"],
+    )
+    def test_every_line_error_names_the_file(self, tmp_path, line):
+        good = tmp_path / "good.jsonl"
+        mt.write_trace(good, [mt.StepMetrics(step=0, loss=0.5, grad_norm=1.0)])
+        path = tmp_path / "run" / "trace.jsonl"
+        path.parent.mkdir()
+        path.write_text(good.read_text() + line + "\n")
+        with pytest.raises(ValueError) as info:
+            mt.read_trace(path)
+        assert str(info.value).startswith(f"{path}: line 2: ")
 
     def test_missing_and_extra_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"step": 0, "loss": 0.0}\n')
-        with pytest.raises(ValueError, match="^line 1: fields"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: fields"):
             mt.read_trace(path)
         path.write_text(
             '{"step": 0, "loss": 0.0, "grad_norm": 0.0, "false_neg_pct": 0, "duplication_rate": 0, "z": 1}\n'
         )
-        with pytest.raises(ValueError, match="^line 1: fields"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: fields"):
             mt.read_trace(path)
 
     def test_wrong_types_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"step": true, "loss": 0.0, "grad_norm": 0.0, "false_neg_pct": 0, "duplication_rate": 0}\n')
-        with pytest.raises(ValueError, match="^line 1: step must be an integer"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: step must be an integer"):
             mt.read_trace(path)
         path.write_text('{"step": 0, "loss": "x", "grad_norm": 0.0, "false_neg_pct": 0, "duplication_rate": 0}\n')
-        with pytest.raises(ValueError, match="^line 1: loss must be a number"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: loss must be a number"):
             mt.read_trace(path)
 
     def test_integer_beyond_float_range_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         huge = "9" * 400
         path.write_text(f'{{"step": 0, "loss": {huge}, "grad_norm": 0.0, "false_neg_pct": 0, "duplication_rate": 0}}\n')
-        with pytest.raises(ValueError, match="^line 1: loss must be a number"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: loss must be a number"):
             mt.read_trace(path)
 
     def test_integer_number_reads_back_as_float(self, tmp_path):

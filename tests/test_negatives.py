@@ -349,9 +349,40 @@ def survivors_per_row(sims, positives, k, mode, beta):
     return widths
 
 
+# Rows of one-decimal keys tie exactly, and the rounding leaves both 0.0 and
+# -0.0. With beta 0 row 5 keeps one eligible candidate and row 6 two.
+TIED_SIMS = np.array([
+    [0.5, -0.0, 0.0, 0.5, -0.0, 0.2, 0.5, 0.0, -0.3, 0.9],
+    [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1],
+    [-0.0, 0.0, -0.0, 0.0, 0.4, 0.0, -0.0, 0.0, 0.4, 0.0],
+    [0.7, 0.2, 0.7, -0.1, 0.2, 0.7, 0.3, -0.1, 0.7, 0.2],
+    [-0.6, -0.6, 0.1, -0.6, 0.0, -0.6, -0.0, 0.8, -0.6, 0.1],
+    [0.3, -0.4, 0.8, 0.5, 0.6, 0.7, -0.4, 0.2, 0.1, 0.9],
+    [0.3, -0.4, 0.8, -0.5, 0.6, 0.7, -0.4, 0.2, 0.1, 0.9],
+])
+TIED_POSITIVES = [9, 4, 4, 6, 7, 1, 1]
+
+
 class TestSelectNegativesBlockEdges:
-    """The hard and easy paths lay each row's survivors into one +inf-padded
-    block; these cases make that block wider than k or cut it short."""
+    """Edges of the hard and easy ranking: keys that tie at a row's k-th key,
+    rows short of k eligible candidates, and k around the candidate count,
+    where the argmin passes stop at the most eligible candidates of any row."""
+
+    @pytest.mark.parametrize("mode", ["hard", "easy"])
+    @pytest.mark.parametrize(
+        "from_m, offset", [(0, 1), (0, 2), (1, -2), (1, -1), (1, 0), (1, 3)],
+        ids=["1", "2", "m-2", "m-1", "m", "m+3"],
+    )
+    def test_k_around_the_candidate_count_with_ties_and_short_rows(self, mode, from_m, offset):
+        m = TIED_SIMS.shape[1]
+        k = from_m * m + offset
+        zeros = TIED_SIMS == 0.0
+        assert (zeros & np.signbit(TIED_SIMS)).any() and (zeros & ~np.signbit(TIED_SIMS)).any()
+        picks, filtered, dup = neg.select_negatives(TIED_SIMS, TIED_POSITIVES, k, mode, 0.0, None)
+        if mode == "hard":
+            assert (m - 1 - filtered.sum(axis=1)).tolist()[5:] == [1, 2]
+        assert picks.dtype == np.intp and picks.shape == (7, k) and picks.flags.c_contiguous
+        assert_matches_per_row(TIED_SIMS, TIED_POSITIVES, k, mode, 0.0)
 
     @pytest.mark.parametrize("mode", ["hard", "easy"])
     def test_exact_ties_at_the_kth_key_keep_more_than_k_survivors(self, mode):
