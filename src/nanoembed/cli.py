@@ -458,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
         outputs = COMMAND_TABLE[args.command][0](cfg, args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finished = time.time()

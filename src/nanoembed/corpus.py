@@ -30,7 +30,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .encoder import ItemRecord
-from .fields import check_types, is_number
+from .fields import check_types, is_number, json_lines
 
 PLANTED_SUFFIX = "#dup"
 _PLANTED_BLEND = 0.5
@@ -248,7 +248,7 @@ def _item_to_json(item: ItemRecord) -> dict:
     }
 
 
-def _item_from_json(obj: dict, where: str) -> ItemRecord:
+def _item_from_json(obj: dict) -> ItemRecord:
     try:
         if not all(map(is_number, np.asarray(obj["features"], dtype=object).flat)):
             raise ValueError("features must be JSON numbers that a float holds")
@@ -259,7 +259,7 @@ def _item_from_json(obj: dict, where: str) -> ItemRecord:
             group=obj.get("group"),
         )
     except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"{where}: bad item record: {err}") from err
+        raise ValueError(f"bad item record: {err}") from err
 
 
 def write_corpus(path, corpus: Corpus) -> None:
@@ -283,42 +283,29 @@ def read_corpus(path) -> Corpus:
     items: list[ItemRecord] = []
     pairs: list[PairRecord] = []
     seen: set[str] = set()
-    # Undecodable bytes come through as lone surrogates, so the bad line can be named.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            where = f"{path}: line {line_number}"
-            try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as err:
-                raise ValueError(f"{where}: not valid UTF-8: {err}") from None
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as err:
-                raise ValueError(f"{where}: invalid JSON: {err}") from err
+    for where, obj in json_lines(path):
+        try:
             if not isinstance(obj, dict) or "kind" not in obj:
-                raise ValueError(f"{where}: record must be an object with a 'kind'")
+                raise ValueError("record must be an object with a 'kind'")
             if obj["kind"] == "item":
-                item = _item_from_json(obj, where)
+                item = _item_from_json(obj)
                 if item.id in seen:
-                    raise ValueError(f"{where}: duplicate id {item.id!r}")
+                    raise ValueError(f"duplicate id {item.id!r}")
                 seen.add(item.id)
                 items.append(item)
             elif obj["kind"] == "pair":
                 if "query" not in obj or "positive" not in obj:
-                    raise ValueError(f"{where}: pair record needs 'query' and 'positive'")
-                query = _item_from_json(obj["query"], where)
+                    raise ValueError("pair record needs 'query' and 'positive'")
+                query = _item_from_json(obj["query"])
                 if query.id in seen:
-                    raise ValueError(f"{where}: duplicate id {query.id!r}")
+                    raise ValueError(f"duplicate id {query.id!r}")
                 seen.add(query.id)
                 planted = obj.get("is_false_negative_planted", False)
-                try:
-                    pairs.append(PairRecord(query, obj["positive"], planted))
-                except ValueError as err:
-                    raise ValueError(f"{where}: {err}") from err
+                pairs.append(PairRecord(query, obj["positive"], planted))
             else:
-                raise ValueError(f"{where}: unknown kind {obj['kind']!r}")
+                raise ValueError(f"unknown kind {obj['kind']!r}")
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
     if not items and not pairs:
         raise ValueError(f"{path}: no records")
     return Corpus(items, pairs)

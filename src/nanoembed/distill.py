@@ -17,7 +17,7 @@ from . import autodiff as ad
 from . import optim
 from .autodiff import Tensor
 from .corpus import Corpus
-from .encoder import EmbeddingBatch, Encoder, ItemRows, NonUnitRowError, TeacherEncoder
+from .encoder import EmbeddingBatch, Encoder, ItemRows, TeacherEncoder
 from .fields import check_types
 from .metrics import StepMetrics
 
@@ -87,14 +87,14 @@ def stage1_train(
         batch = rows[rng.choice(len(pool), size=batch_size, replace=False)]
         try:
             student = encoder.encode(batch)
-        except NonUnitRowError as exc:
+            frozen = teacher.encode(batch)
+            loss = kl_distillation_loss(student, frozen, config.tau)
+            optim.zero_grads(params)
+            ad.backward(loss)
+            grad_norm = optim.clip_global_norm(params, settings.clip_norm)
+            optimizer.step(params)
+            optim.check_finite(params)
+            trace.append(StepMetrics(step=step, loss=loss.item(), grad_norm=grad_norm))
+        except ValueError as exc:
             raise ValueError(f"step {step}: {exc}") from None
-        frozen = teacher.encode(batch)
-        loss = kl_distillation_loss(student, frozen, config.tau)
-        optim.zero_grads(params)
-        ad.backward(loss)
-        grad_norm = optim.clip_global_norm(params, settings.clip_norm)
-        optimizer.step(params)
-        optim.check_finite(params, step)
-        trace.append(StepMetrics(step=step, loss=loss.item(), grad_norm=grad_norm))
     return trace

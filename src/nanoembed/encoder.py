@@ -113,11 +113,6 @@ class ItemRows:
         return len(self.ids)
 
 
-class NonUnitRowError(ValueError):
-    """An embedding row is not unit-norm: in an encoder's output, the
-    forward pass overflowed."""
-
-
 class EmbeddingBatch:
     """Unit-norm embedding rows keyed by unique item ids."""
 
@@ -132,7 +127,7 @@ class EmbeddingBatch:
         norms = np.linalg.norm(matrix.values, axis=1)
         if not (np.abs(norms - 1.0) <= 1e-10).all():
             bad = int(np.abs(norms - 1.0).argmax())
-            raise NonUnitRowError(f"row {bad} has norm {norms[bad]}, expected 1 within 1e-10")
+            raise ValueError(f"row {bad} has norm {norms[bad]}, expected 1 within 1e-10")
         self.ids = ids
         self.matrix = matrix
 
@@ -199,8 +194,9 @@ class Encoder:
         Position-local layers mean only the final position can affect the
         output, so only that position is computed. With record=False the
         parameters enter the graph as constants and no gradients flow.
-        Weights that overflow the forward pass raise NonUnitRowError, with
-        no floating-point warning before it.
+        Weights that overflow the forward pass raise ValueError, from the
+        EmbeddingBatch's unit-norm check, with no floating-point warning
+        before it.
         """
         if not isinstance(items, ItemRows):
             items = ItemRows.of(items, self.config.input_dim)
@@ -344,7 +340,7 @@ def load_checkpoint(path) -> Encoder:
     config_blob = take(config_len, "config")
     try:
         encoder = Encoder(EncoderConfig(**json.loads(config_blob.decode())))
-    except (TypeError, ValueError, RecursionError) as exc:
+    except (TypeError, ValueError, RecursionError, MemoryError) as exc:
         raise ValueError(f"{path}: bad encoder config: {exc}") from None
     (n_params,) = unpack("<I", "array count")
     arrays = []

@@ -1,9 +1,12 @@
-"""The one type rule for every settings field, read from its dataclass annotation."""
+"""Rules for values read from outside: the one type rule for every settings
+field, read from its dataclass annotation, and the one JSON-lines reader."""
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import fields
+from typing import Iterator
 
 
 def is_int(value) -> bool:
@@ -41,3 +44,24 @@ def check_types(settings) -> None:
             value = getattr(settings, f.name)
             if not test(value):
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
+
+
+def json_lines(path) -> Iterator[tuple[str, object]]:
+    """Yield ("<path>: line N", value) for each nonblank line of a JSON-lines
+    file; a line that is not UTF-8 or not JSON raises ValueError naming it.
+    Callers prefix the first item to their own record errors."""
+    # Undecodable bytes come through as lone surrogates, so the bad line can be named.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            where = f"{path}: line {line_number}"
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{where}: not valid UTF-8: {exc}") from None
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise ValueError(f"{where}: invalid JSON: {exc}") from None
+            yield where, value

@@ -21,7 +21,7 @@ from . import negatives as ng
 from . import optim
 from .autodiff import Tensor
 from .corpus import Corpus
-from .encoder import Encoder, ItemRows, NonUnitRowError
+from .encoder import Encoder, ItemRows
 from .gradcache import CachePlan, ContrastiveObjective, cached_step
 from .metrics import StepMetrics
 from .negatives import NEGATIVE_MODES
@@ -145,6 +145,7 @@ def stage2_train(
     rng = np.random.default_rng(seed)
     params = encoder.parameters()
     optimizer = optim.make_optimizer(settings)
+    plan = None if sub_batch is None else CachePlan(effective_batch=n + m, sub_batch=min(sub_batch, n + m))
     trace: list[StepMetrics] = []
     for step in range(steps):
         picks = rng.choice(n, size=n, replace=False)
@@ -154,7 +155,7 @@ def stage2_train(
             mode=negative_mode, seed=rng,
         )
         try:
-            if sub_batch is None:
+            if plan is None:
                 batch_loss = objective.loss_between(
                     encoder.encode(rows[picks]).matrix, encoder.encode(candidates).matrix
                 )
@@ -162,13 +163,12 @@ def stage2_train(
                 ad.backward(batch_loss)
                 loss = batch_loss.item()
             else:
-                plan = CachePlan(effective_batch=n + m, sub_batch=min(sub_batch, n + m))
                 block = rows[np.concatenate((picks, candidate_indices))]
                 _, loss, _ = cached_step(encoder, block, objective, plan)
-        except NonUnitRowError as exc:
+            grad_norm = optim.clip_global_norm(params, settings.clip_norm)
+            optimizer.step(params)
+            optim.check_finite(params)
+            trace.append(StepMetrics(step, loss, grad_norm, *objective.selection_rates))
+        except ValueError as exc:
             raise ValueError(f"step {step}: {exc}") from None
-        grad_norm = optim.clip_global_norm(params, settings.clip_norm)
-        optimizer.step(params)
-        optim.check_finite(params, step)
-        trace.append(StepMetrics(step, loss, grad_norm, *objective.selection_rates))
     return trace

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .atomic import atomic_open
-from .fields import is_int, is_number
+from .fields import is_int, is_number, json_lines
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class StepMetrics:
         for name in names:
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"step {self.step}: {name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -61,23 +61,13 @@ def read_trace(path: str | Path) -> list[StepMetrics]:
     """Parse a trace file, rejecting records that break the schema."""
     names = [f.name for f in fields(StepMetrics)]
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {line_number}"
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: invalid JSON: {exc.msg}") from exc
-            except RecursionError as exc:
-                raise ValueError(f"{where}: invalid JSON: {exc}") from None
+    for where, raw in json_lines(path):
+        try:
             if not isinstance(raw, dict):
-                raise ValueError(f"{where}: record is not an object")
+                raise ValueError("record is not an object")
             if set(raw) != set(names):
-                raise ValueError(f"{where}: fields {sorted(raw)} != {sorted(names)}")
-            try:
-                records.append(StepMetrics(**raw))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from exc
+                raise ValueError(f"fields {sorted(raw)} != {sorted(names)}")
+            records.append(StepMetrics(**raw))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return records

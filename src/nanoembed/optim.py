@@ -95,12 +95,12 @@ def make_optimizer(settings: OptimizerSettings):
     return Sgd(settings.learning_rate)
 
 
-def check_finite(params: Sequence[Parameter], step: int) -> None:
-    """Raise ValueError naming the step and the first parameter that an
-    update left non-finite; the update itself overflows without a warning."""
+def check_finite(params: Sequence[Parameter]) -> None:
+    """Raise ValueError naming the first parameter that an update left
+    non-finite; the update itself overflows without a warning."""
     for p in params:
         if not np.isfinite(p.values).all():
-            raise ValueError(f"step {step}: the update left non-finite weights in {p.name}")
+            raise ValueError(f"the update left non-finite weights in {p.name}")
 
 
 def zero_grads(params: Sequence[Parameter]) -> None:

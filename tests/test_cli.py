@@ -442,6 +442,14 @@ class TestStage2:
         assert code == 2
         assert capsys.readouterr().err == "error: step 0: grad_norm must be finite, got inf\n"
 
+    def test_mining_failure_names_its_step(self, tmp_path, capsys):
+        # At beta -3 every candidate sits above the positive's similarity minus 3, so all are filtered.
+        config = write_config(tmp_path, miner={"beta": -3.0, "k": 4})
+        capsys.readouterr()
+        assert run("stage2", "--config", config, "--mode", "hard", "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: step 0: query 0: no eligible candidates remain after filtering\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("gradcache", [{"enabled": False}, {"enabled": True, "sub_batch": 5}],
                              ids=["naive", "cached"])
     def test_overflowing_forward_pass_names_its_step(self, tmp_path, capsys, gradcache):
@@ -999,6 +1007,21 @@ class TestBadInputLeavesNoOutput:
         config = write_config(tmp_path)
         err = self.assert_clean_failure(capsys, tmp_path / "out", "ablate", "--config", config)
         assert "sweep" in err
+
+    # 8 x 2**56 float64 weights ask for 4 EiB, which no overcommit setting grants.
+    def test_unallocatable_encoder_size(self, tmp_path, capsys):
+        config = write_config(tmp_path, encoder={"hidden_dim": 2**56, "embed_dim": 8})
+        err = self.assert_clean_failure(capsys, tmp_path / "out", "stage1", "--config", config)
+        assert err.startswith("error: Unable to allocate 4.00 EiB for an array with shape (8, 72057594037927936)")
+
+    def test_unallocatable_checkpoint_size(self, tmp_path, capsys):
+        config, checkpoint = make_stage1_checkpoint(tmp_path)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(with_config(checkpoint.read_bytes(), hidden_dim=2**56))
+        err = self.assert_clean_failure(
+            capsys, tmp_path / "out", "eval", "--config", config, "--checkpoint", bad
+        )
+        assert err.startswith(f"error: {bad}: bad encoder config: Unable to allocate 4.00 EiB")
 
     @pytest.mark.parametrize("command", ["eval", "stage2"])
     def test_missing_checkpoint(self, tmp_path, capsys, command):

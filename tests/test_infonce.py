@@ -289,6 +289,13 @@ class TestStage2Train:
             counts.append(list(calls))
         assert counts[0] == counts[1] == [len(corpus.pairs) + len(corpus.items)]
 
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_bad_sub_batch_fails_at_the_call_with_no_step(self, steps):
+        corpus, encoder = small_setup()
+        with pytest.raises(ValueError, match=r"^sub_batch must be in \[1, \d+\], got 0$"):
+            nce.stage2_train(encoder, corpus, ng.MinerConfig(beta=0.0, k=4), optim.OptimizerSettings(),
+                             steps=steps, sub_batch=0)
+
     def test_unknown_mode_rejected(self):
         corpus, encoder = small_setup()
         with pytest.raises(ValueError, match="negative_mode must be one of .*, got 'medium'"):

@@ -67,20 +67,26 @@ class TestTraceFiles:
             mt.read_trace(path)
 
     @pytest.mark.parametrize(
-        "line",
-        ["not json", "[1, 2]", '{"step": 0}', '{"step": -1, "loss": 0.0, "grad_norm": 0.0, "false_neg_pct": 0, '
-         '"duplication_rate": 0}'],
-        ids=["invalid_json", "not_an_object", "missing_fields", "bad_value"],
+        "line, reason",
+        [
+            (b"not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+            (b"[1, 2]", "record is not an object"),
+            (b'{"step": 0}', "fields ['step'] != "),
+            (b'{"step": -1, "loss": 0.0, "grad_norm": 0.0, "false_neg_pct": 0, "duplication_rate": 0}',
+             "step must be nonnegative"),
+            (b'{"step": 0\xff}', "not valid UTF-8: "),
+        ],
+        ids=["invalid_json", "not_an_object", "missing_fields", "bad_value", "not_utf8"],
     )
-    def test_every_line_error_names_the_file(self, tmp_path, line):
+    def test_every_line_error_names_the_file(self, tmp_path, line, reason):
         good = tmp_path / "good.jsonl"
         mt.write_trace(good, [mt.StepMetrics(step=0, loss=0.5, grad_norm=1.0)])
         path = tmp_path / "run" / "trace.jsonl"
         path.parent.mkdir()
-        path.write_text(good.read_text() + line + "\n")
+        path.write_bytes(good.read_bytes() + line + b"\n")
         with pytest.raises(ValueError) as info:
             mt.read_trace(path)
-        assert str(info.value).startswith(f"{path}: line 2: ")
+        assert str(info.value).startswith(f"{path}: line 2: {reason}")
 
     def test_missing_and_extra_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
