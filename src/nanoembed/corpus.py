@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import atomic_open
-from .encoder import ItemRecord
+from .encoder import MODALITIES, ItemRecord
 from .fields import check_types, is_number, json_lines
 
 PLANTED_SUFFIX = "#dup"
@@ -76,7 +76,7 @@ class CorpusSpec:
         if not self.modality_mix:
             raise ValueError("modality_mix cannot be empty")
         for name, weight in self.modality_mix.items():
-            if name not in ("text", "image", "fused"):
+            if name not in MODALITIES:
                 raise ValueError(f"unknown modality {name!r} in mix")
             if weight < 0.0:
                 raise ValueError(f"weight for modality {name!r} must be finite and >= 0, got {weight}")
@@ -96,11 +96,7 @@ class PairRecord:
     is_false_negative_planted: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.positive_id, str):
-            raise ValueError(f"positive must be a string, got {self.positive_id!r}")
-        if not isinstance(self.is_false_negative_planted, bool):
-            planted = self.is_false_negative_planted
-            raise ValueError(f"is_false_negative_planted must be true or false, got {planted!r}")
+        check_types(self)
 
 
 class Corpus:

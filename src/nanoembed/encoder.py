@@ -35,6 +35,8 @@ class EncoderConfig:
 
     depth counts the affine layers in the per-position stack; tanh sits
     between consecutive layers. init_gain scales the fan-in uniform init.
+    Sizes whose float64 weights take more bytes than an intp can count,
+    which no address space holds, are refused before anything allocates.
     """
 
     input_dim: int
@@ -52,6 +54,13 @@ class EncoderConfig:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         if self.init_gain <= 0.0:
             raise ValueError(f"init_gain must be a finite number > 0, got {self.init_gain!r}")
+        # Every layer's weights and biases, counted in Python ints, which never overflow.
+        hidden = self.hidden_dim
+        weights = hidden * (self.input_dim + 1 + (self.depth - 1) * (hidden + 1) + self.embed_dim)
+        if weights * 8 > np.iinfo(np.intp).max:
+            raise ValueError(
+                "input_dim, hidden_dim, embed_dim and depth ask for more weights than an address space holds"
+            )
 
 
 @dataclass
@@ -64,12 +73,9 @@ class ItemRecord:
     group: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise ValueError(f"id must be a string, got {self.id!r}")
+        check_types(self)
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
-        if self.group is not None and not isinstance(self.group, str):
-            raise ValueError(f"group must be a string or null, got {self.group!r}")
         arr = np.asarray(self.features, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError(f"features must be (positions, input_dim), got shape {arr.shape}")
@@ -113,6 +119,15 @@ class ItemRows:
         return len(self.ids)
 
 
+def check_unit_rows(values: np.ndarray, label: str = "row") -> None:
+    """Raise ValueError naming the first row whose L2 norm is not 1 within
+    1e-10, as "<label> i has norm ..."; a NaN row is never unit-norm."""
+    norms = np.linalg.norm(values, axis=1)
+    if not (np.abs(norms - 1.0) <= 1e-10).all():
+        bad = int(np.abs(norms - 1.0).argmax())
+        raise ValueError(f"{label} {bad} has norm {norms[bad]}, expected 1 within 1e-10")
+
+
 class EmbeddingBatch:
     """Unit-norm embedding rows keyed by unique item ids."""
 
@@ -124,10 +139,7 @@ class EmbeddingBatch:
             raise ValueError("embedding batch ids must be unique")
         if matrix.shape[0] != len(ids):
             raise ValueError(f"{len(ids)} ids but {matrix.shape[0]} rows")
-        norms = np.linalg.norm(matrix.values, axis=1)
-        if not (np.abs(norms - 1.0) <= 1e-10).all():
-            bad = int(np.abs(norms - 1.0).argmax())
-            raise ValueError(f"row {bad} has norm {norms[bad]}, expected 1 within 1e-10")
+        check_unit_rows(matrix.values)
         self.ids = ids
         self.matrix = matrix
 

@@ -1,5 +1,6 @@
 """Rules for values read from outside: the one type rule for every settings
-field, read from its dataclass annotation, and the one JSON-lines reader."""
+and record field, read from its dataclass annotation, and the one
+JSON-lines reader."""
 
 from __future__ import annotations
 
@@ -31,17 +32,20 @@ _RULES = {
         lambda v: isinstance(v, dict) and all(map(is_number, v.values())),
         "an object of finite numbers",
     ),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
 }
 
 
-def check_types(settings) -> None:
-    """Raise ValueError naming the first field of a settings dataclass that
-    breaks the rule for its annotation string (the package postpones them);
-    settings classes call this first in __post_init__, then check ranges."""
-    for f in fields(settings):
+def check_types(instance) -> None:
+    """Raise ValueError naming the first field of a dataclass that breaks the
+    rule for its annotation string (the package postpones them); settings
+    and record classes call this first in __post_init__, then check ranges."""
+    for f in fields(instance):
         if f.type in _RULES:
             test, what = _RULES[f.type]
-            value = getattr(settings, f.name)
+            value = getattr(instance, f.name)
             if not test(value):
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
 

@@ -89,8 +89,7 @@ class ContrastiveObjective:
             raise ValueError(f"n_queries must be >= 1, got {self.n_queries}")
         if len(self.positives) != self.n_queries:
             raise ValueError(f"{len(self.positives)} positives for {self.n_queries} queries")
-        if self.mode not in ng.NEGATIVE_MODES:
-            raise ValueError(f"mode must be one of {ng.NEGATIVE_MODES}, got {self.mode!r}")
+        ng.check_mode(self.mode)
 
     def mine(self, sims: Tensor) -> np.ndarray:
         """The (n_queries, k) negative candidate indices, deterministic given sims.values."""

@@ -21,15 +21,9 @@ from . import negatives as ng
 from . import optim
 from .autodiff import Tensor
 from .corpus import Corpus
-from .encoder import Encoder, ItemRows
+from .encoder import Encoder, ItemRows, check_unit_rows
 from .gradcache import CachePlan, ContrastiveObjective, cached_step
 from .metrics import StepMetrics
-from .negatives import NEGATIVE_MODES
-
-
-def _unit_rows(values: np.ndarray, label: str) -> None:
-    if not (np.abs(np.linalg.norm(values, axis=1) - 1.0) <= 1e-10).all():
-        raise ValueError(f"{label} rows must be unit-norm within 1e-10")
 
 
 @dataclass(frozen=True)
@@ -48,9 +42,9 @@ class ContrastiveTriple:
             raise ValueError(f"mismatched embedding widths {sorted(dims)}")
         if self.e_neg.shape[0] < 1:
             raise ValueError("at least one negative row required")
-        _unit_rows(self.e_q.values, "query")
-        _unit_rows(self.e_pos.values, "positive")
-        _unit_rows(self.e_neg.values, "negative")
+        check_unit_rows(self.e_q.values, "query row")
+        check_unit_rows(self.e_pos.values, "positive row")
+        check_unit_rows(self.e_neg.values, "negative row")
 
 
 def infonce_hard_loss(triple: ContrastiveTriple, tau: float) -> Tensor:
@@ -89,6 +83,7 @@ def _select_negatives(
     The per-row reference for negatives.select_negatives, kept for tests;
     training never calls it.
     """
+    ng.check_mode(mode)
     m = row.size
     if mode == "hard":
         alpha = ng.false_negative_threshold(float(row[pos]), beta)
@@ -100,10 +95,8 @@ def _select_negatives(
         raise ng.NoEligibleNegativesError("no candidates besides the positive")
     if mode == "easy":
         ranked = eligible[np.lexsort((eligible, row[eligible]))]
-    elif mode == "random":
-        ranked = rng.permutation(eligible)
     else:
-        raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}, got {mode!r}")
+        ranked = rng.permutation(eligible)
     reps = -(-k // ranked.size)
     return [int(j) for j in np.tile(ranked, reps)[:k]], set(), max(0, k - eligible.size)
 
@@ -132,8 +125,7 @@ def stage2_train(
     round-off.  The trace records the objective's selection rates and the
     pre-clip gradient norm.
     """
-    if negative_mode not in NEGATIVE_MODES:
-        raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}, got {negative_mode!r}")
+    ng.check_mode(negative_mode)
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     queries = corpus.queries()

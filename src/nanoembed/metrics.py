@@ -7,13 +7,12 @@ summarizers never branch on which stage produced a trace.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
 from .atomic import atomic_open
-from .fields import is_int, is_number, json_lines
+from .fields import check_types, json_lines
 
 
 @dataclass(frozen=True)
@@ -32,20 +31,11 @@ class StepMetrics:
     duplication_rate: float = 0.0
 
     def __post_init__(self):
-        if not is_int(self.step):
-            raise ValueError(f"step must be an integer, got {self.step!r}")
+        check_types(self)
         if self.step < 0:
             raise ValueError(f"step must be nonnegative, got {self.step}")
-        names = [f.name for f in fields(self)[1:]]
-        for name in names:
-            value = getattr(self, name)
-            if not (isinstance(value, float) or is_number(value)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        for name in names:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        for f in fields(self)[1:]:
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))

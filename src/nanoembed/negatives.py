@@ -30,6 +30,12 @@ from .fields import check_types
 NEGATIVE_MODES = ("hard", "easy", "random")
 
 
+def check_mode(mode: str) -> None:
+    """Raise ValueError unless mode is one of NEGATIVE_MODES."""
+    if mode not in NEGATIVE_MODES:
+        raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}, got {mode!r}")
+
+
 class NoEligibleNegativesError(ValueError):
     """Every candidate was the positive or filtered; nothing to sample."""
 
@@ -141,8 +147,7 @@ def select_negatives(
     ``rng.permutation`` per row in row order would; the other modes never
     touch ``rng``.
     """
-    if mode not in NEGATIVE_MODES:
-        raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}, got {mode!r}")
+    check_mode(mode)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     sims = np.asarray(sims, dtype=np.float64)

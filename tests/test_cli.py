@@ -8,6 +8,7 @@ import statistics
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -31,6 +32,7 @@ DIVERGENT_SGD = {"kind": "sgd", "learning_rate": 1e300, "clip_norm": 1e300, "ste
 # One unclipped update that overflows the weights themselves.
 OVERFLOWING_UPDATE = {"learning_rate": 1e308, "clip_norm": 1e308, "steps": 12}
 TEACHER_WIDTH = "teacher input_dim 4 != encoder input_dim 8"
+OVERSIZED = "input_dim, hidden_dim, embed_dim and depth ask for more weights than an address space holds"
 
 
 def base_config(**overrides):
@@ -440,7 +442,7 @@ class TestStage2:
             warnings.simplefilter("error")
             code = run("stage2", "--config", config, "--checkpoint", checkpoint, "--out", tmp_path / "out")
         assert code == 2
-        assert capsys.readouterr().err == "error: step 0: grad_norm must be finite, got inf\n"
+        assert capsys.readouterr().err == "error: step 0: grad_norm must be a finite number, got inf\n"
 
     def test_mining_failure_names_its_step(self, tmp_path, capsys):
         # At beta -3 every candidate sits above the positive's similarity minus 3, so all are filtered.
@@ -685,7 +687,7 @@ class TestDamagedCorpus:
         capsys.readouterr()
         assert run("eval", "--config", config, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
-        assert err == f"error: {corpus}: line {bad + 1}: positive must be a string, got {positive!r}\n"
+        assert err == f"error: {corpus}: line {bad + 1}: positive_id must be a string, got {positive!r}\n"
         assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("kind", ["item", "pair"])
@@ -1008,11 +1010,11 @@ class TestBadInputLeavesNoOutput:
         err = self.assert_clean_failure(capsys, tmp_path / "out", "ablate", "--config", config)
         assert "sweep" in err
 
-    # 8 x 2**56 float64 weights ask for 4 EiB, which no overcommit setting grants.
+    # 8 x 2**56 float64 weights ask for 4 EiB, more bytes than an intp counts.
     def test_unallocatable_encoder_size(self, tmp_path, capsys):
         config = write_config(tmp_path, encoder={"hidden_dim": 2**56, "embed_dim": 8})
         err = self.assert_clean_failure(capsys, tmp_path / "out", "stage1", "--config", config)
-        assert err.startswith("error: Unable to allocate 4.00 EiB for an array with shape (8, 72057594037927936)")
+        assert err == f"error: bad 'encoder' config: {OVERSIZED}\n"
 
     def test_unallocatable_checkpoint_size(self, tmp_path, capsys):
         config, checkpoint = make_stage1_checkpoint(tmp_path)
@@ -1021,7 +1023,39 @@ class TestBadInputLeavesNoOutput:
         err = self.assert_clean_failure(
             capsys, tmp_path / "out", "eval", "--config", config, "--checkpoint", bad
         )
-        assert err.startswith(f"error: {bad}: bad encoder config: Unable to allocate 4.00 EiB")
+        assert err == f"error: {bad}: bad encoder config: {OVERSIZED}\n"
+
+    @pytest.mark.parametrize("command", ["stage1", "eval"])
+    @pytest.mark.parametrize("name", ["depth", "hidden_dim", "embed_dim"])
+    def test_size_beyond_any_address_space_fails_at_load(self, tmp_path, capsys, command, name):
+        config = write_config(tmp_path, encoder={"hidden_dim": 16, "embed_dim": 8, name: 10**400})
+        started = time.perf_counter()
+        err = self.assert_clean_failure(capsys, tmp_path / "out", command, "--config", config)
+        assert time.perf_counter() - started < 2.0
+        assert err == f"error: bad 'encoder' config: {OVERSIZED}\n"
+
+    def test_oversized_teacher_names_its_section(self, tmp_path, capsys):
+        config = write_config(tmp_path, teacher={"depth": 10**400})
+        err = self.assert_clean_failure(capsys, tmp_path / "out", "stage1", "--config", config)
+        assert err == f"error: bad 'teacher' config: {OVERSIZED}\n"
+
+    def test_oversized_checkpoint_depth(self, tmp_path, capsys):
+        config, checkpoint = make_stage1_checkpoint(tmp_path)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(with_config(checkpoint.read_bytes(), depth=10**400))
+        err = self.assert_clean_failure(
+            capsys, tmp_path / "out", "eval", "--config", config, "--checkpoint", bad
+        )
+        assert err == f"error: {bad}: bad encoder config: {OVERSIZED}\n"
+
+    # Under the size rule, but the first weight array alone is 8 x 2**54
+    # float64, 1 EiB: more than any x86-64 address space, so the allocation
+    # fails at once under every overcommit setting.
+    def test_unallocatable_size_under_the_rule(self, tmp_path, capsys):
+        encoder = {"input_dim": 8, "hidden_dim": 2**54, "embed_dim": 8, "depth": 1}
+        config = write_config(tmp_path, encoder=encoder)
+        err = self.assert_clean_failure(capsys, tmp_path / "out", "stage1", "--config", config)
+        assert err.startswith("error: Unable to allocate 1.00 EiB for an array with shape (8, 18014398509481984)")
 
     @pytest.mark.parametrize("command", ["eval", "stage2"])
     def test_missing_checkpoint(self, tmp_path, capsys, command):

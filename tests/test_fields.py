@@ -1,16 +1,20 @@
-"""One type rule for every settings field: each settings dataclass runs
-fields.check_types on its annotations before its range checks."""
+"""One type rule for every settings and record field: each such dataclass
+runs fields.check_types on its annotations before its range checks."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nanoembed import autodiff as ad
 from nanoembed import fields as fl
-from nanoembed.corpus import CorpusSpec
+from nanoembed.corpus import CorpusSpec, PairRecord
 from nanoembed.distill import DistillConfig
-from nanoembed.encoder import EncoderConfig, TeacherEncoder
+from nanoembed.encoder import EncoderConfig, ItemRecord, TeacherEncoder
 from nanoembed.gradcache import CachePlan
+from nanoembed.metrics import StepMetrics
 from nanoembed.negatives import MinerConfig
 from nanoembed.optim import OptimizerSettings
 
@@ -24,40 +28,84 @@ VALID = {
     CachePlan: {"effective_batch": 8, "sub_batch": 4},
 }
 
+# Each trace and corpus record class, the same way; their array and
+# nested-record fields are checked by the class itself.
+ITEM = {"id": "q0", "modality": "text", "features": np.zeros((2, 3))}
+RECORDS = {
+    StepMetrics: {"step": 0, "loss": 0.0, "grad_norm": 0.0},
+    ItemRecord: ITEM,
+    PairRecord: {"query": ItemRecord(**ITEM), "positive_id": "c0"},
+}
+
 # Annotation -> values a field so annotated must reject.
 REJECTED = {
     "int": [True, "2", 2.0],
     "float": [True, "2", float("nan"), float("inf"), -float("inf"), 10**400],
     "tuple[int, int]": [True, "2", (2.0, 4), (2, 3, 4), 2],
     "dict[str, float]": [True, "2", {"text": float("nan")}, {"text": True}, {"text": 10**400}],
+    "str": [True, 5, None, ["q0"]],
+    "str | None": [True, 5, ["g00"]],
+    "bool": [0, 1, "false", None],
 }
-
-# String fields that their class checks against a fixed set instead
-# (tests/test_optim.py covers the unknown-kind error).
-CHOICE_FIELDS = {(OptimizerSettings, "kind")}
 
 
 def rejection_cases():
-    for cls in VALID:
+    for cls, valid in {**VALID, **RECORDS}.items():
         for f in dataclasses.fields(cls):
             for value in REJECTED.get(f.type, []):
-                yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value!r:.20}")
+                yield pytest.param(cls, valid, f.name, value, id=f"{cls.__name__}.{f.name}={value!r:.20}")
 
 
-@pytest.mark.parametrize("cls, name, value", rejection_cases())
-def test_badly_typed_field_is_rejected_by_name(cls, name, value):
+@pytest.mark.parametrize("cls, valid, name, value", rejection_cases())
+def test_badly_typed_field_is_rejected_by_name(cls, valid, name, value):
     with pytest.raises(ValueError, match=rf"^{name} must be "):
-        cls(**{**VALID[cls], name: value})
+        cls(**{**valid, name: value})
 
 
 @pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
 def test_every_field_has_a_type_rule(cls):
-    unchecked = [
-        f"{f.name}: {f.type}"
-        for f in dataclasses.fields(cls)
-        if f.type not in REJECTED and (cls, f.name) not in CHOICE_FIELDS
-    ]
+    unchecked = [f"{f.name}: {f.type}" for f in dataclasses.fields(cls) if f.type not in REJECTED]
     assert not unchecked, f"{cls.__name__} has fields no type rule covers: {unchecked}"
+
+
+def test_every_rule_has_rejected_values():
+    assert set(REJECTED) == set(fl._RULES)
+
+
+def hand_written_type_checks(tree: ast.Module) -> list[str]:
+    """Class.field for each isinstance, is_int or is_number call in a
+    dataclass __post_init__ on self.<field>, where the field's annotation
+    already has a rule in fields._RULES."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or not any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            continue
+        ruled = {
+            stmt.target.id
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and ast.unparse(stmt.annotation) in fl._RULES
+        }
+        post_inits = [fn for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"]
+        for call in (node for fn in post_inits for node in ast.walk(fn)):
+            if not (isinstance(call, ast.Call) and call.args):
+                continue
+            callee = ast.unparse(call.func).rsplit(".", 1)[-1]
+            arg = call.args[0]
+            if (
+                callee in ("isinstance", "is_int", "is_number")
+                and isinstance(arg, ast.Attribute)
+                and isinstance(arg.value, ast.Name)
+                and arg.value.id == "self"
+                and arg.attr in ruled
+            ):
+                found.append(f"{cls.name}.{arg.attr}")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(Path(fl.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_no_dataclass_rewrites_a_type_rule(module):
+    found = hand_written_type_checks(ast.parse(module.read_text()))
+    assert not found, f"check these through fields.check_types instead: {found}"
 
 
 def test_integer_in_float_field_stays_legal():
@@ -79,7 +127,7 @@ def test_first_bad_field_in_declaration_order_is_named():
 def test_fields_of_other_annotations_pass():
     @dataclasses.dataclass
     class Named:  # annotations as strings, as under the package's `from __future__ import annotations`
-        label: "str"
+        label: "bytes"
         size: "int"
 
     fl.check_types(Named(label=5, size=3))

@@ -44,7 +44,7 @@ class TestTriple:
     def test_shape_and_norm_validation(self):
         q = unit_rows(0, 1, 4)
         negs = unit_rows(1, 3, 4)
-        with pytest.raises(ValueError, match="query rows must be unit-norm"):
+        with pytest.raises(ValueError, match=r"^query row 0 has norm 2\.0\d*, expected 1 within 1e-10$"):
             triple_from(q * 2.0, q, negs)
         with pytest.raises(ValueError):
             triple_from(unit_rows(0, 2, 4), q, negs)
@@ -58,7 +58,7 @@ class TestTriple:
         q = unit_rows(0, 1, 4)
         negs = unit_rows(1, 3, 4)
         negs[1, 0] = np.nan
-        with pytest.raises(ValueError, match="negative rows must be unit-norm"):
+        with pytest.raises(ValueError, match="^negative row 1 has norm nan, expected 1 within 1e-10$"):
             triple_from(q, q, negs)
 
 

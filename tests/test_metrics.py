@@ -105,14 +105,14 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: step must be an integer"):
             mt.read_trace(path)
         path.write_text('{"step": 0, "loss": "x", "grad_norm": 0.0, "false_neg_pct": 0, "duplication_rate": 0}\n')
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: loss must be a number"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: loss must be a finite number"):
             mt.read_trace(path)
 
     def test_integer_beyond_float_range_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         huge = "9" * 400
         path.write_text(f'{{"step": 0, "loss": {huge}, "grad_norm": 0.0, "false_neg_pct": 0, "duplication_rate": 0}}\n')
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: loss must be a number"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: loss must be a finite number"):
             mt.read_trace(path)
 
     def test_integer_number_reads_back_as_float(self, tmp_path):

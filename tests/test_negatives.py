@@ -14,8 +14,10 @@ from hypothesis.extra import numpy as hnp
 from nanoembed import autodiff as ad
 from nanoembed import corpus as cp
 from nanoembed import encoder as enc
+from nanoembed import gradcache as gc
 from nanoembed import infonce as nce
 from nanoembed import negatives as neg
+from nanoembed import optim
 
 
 def brute_force_filter(sims, pos, alpha):
@@ -305,6 +307,23 @@ class TestSelectNegatives:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="negative_mode must be one of .*, got 'medium'"):
             neg.select_negatives(np.zeros((1, 2)), [0], 1, "medium", 0.0, None)
+
+    @pytest.mark.parametrize("entry", ["select_negatives", "ContrastiveObjective", "stage2_train", "_select_negatives"])
+    def test_unknown_mode_reads_the_same_at_every_entry(self, entry):
+        corpus = cp.generate(cp.CorpusSpec(n_groups=2, items_per_group=2, input_dim=4))
+        encoder = enc.Encoder(enc.EncoderConfig(input_dim=4, hidden_dim=4, embed_dim=4))
+        calls = {
+            "select_negatives": lambda: neg.select_negatives(np.zeros((1, 2)), [0], 1, "medium", 0.0, None),
+            "ContrastiveObjective": lambda: gc.ContrastiveObjective(1, (0,), neg.MinerConfig(), mode="medium"),
+            # Rejected at the call, before step 0 would run.
+            "stage2_train": lambda: nce.stage2_train(
+                encoder, corpus, neg.MinerConfig(), optim.OptimizerSettings(), 0, "medium"
+            ),
+            "_select_negatives": lambda: nce._select_negatives(np.array([0.1]), 0, 1, "medium", 0.0, None),
+        }
+        with pytest.raises(ValueError) as raised:
+            calls[entry]()
+        assert str(raised.value) == "negative_mode must be one of ('hard', 'easy', 'random'), got 'medium'"
 
     def test_random_mode_needs_a_generator(self):
         with pytest.raises(ValueError, match="generator"):
