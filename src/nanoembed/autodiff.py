@@ -15,6 +15,7 @@ never resets it; callers zero gradients explicitly between steps.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,7 +25,8 @@ from .fields import is_number
 
 Vjp = Callable[[np.ndarray], tuple]
 
-_NORM_FLOOR = 1e-12
+# Smallest row norm that may divide a row to unit length.
+NORM_FLOOR = 1e-12
 
 
 # Live-allocation accounting. The gradient-cache tests use this to show
@@ -261,12 +263,12 @@ def total_sum(a: Tensor) -> Tensor:
 def row_l2_normalize(a: Tensor) -> Tensor:
     """Scale each row to unit L2 norm.
 
-    Raises ValueError if any row norm falls below 1e-12.
+    Raises ValueError if any row norm falls below NORM_FLOOR.
     """
     norms = np.sqrt((a.values * a.values).sum(axis=1, keepdims=True))
-    if np.any(norms < _NORM_FLOOR):
-        bad = int(np.argmax(norms < _NORM_FLOOR))
-        raise ValueError(f"row {bad} has norm below {_NORM_FLOOR}")
+    if np.any(norms < NORM_FLOOR):
+        bad = int(np.argmax(norms < NORM_FLOOR))
+        raise ValueError(f"row {bad} has norm below {NORM_FLOOR}")
     out_values = a.values / norms
 
     def vjp(g):
@@ -277,9 +279,10 @@ def row_l2_normalize(a: Tensor) -> Tensor:
 
 
 def check_tau(tau: float) -> float:
-    """tau as a float; raises ValueError unless it is a finite number > 0."""
-    if not (is_number(tau) and tau > 0.0):
-        raise ValueError(f"temperature must be finite and > 0, got {tau!r}")
+    """tau as a float; raises ValueError unless it is a finite number > 0
+    whose cosine logits, spanning [-1/tau, 1/tau], differ by a finite 2/tau."""
+    if not (is_number(tau) and tau > 0.0 and 2.0 / float(tau) <= sys.float_info.max):
+        raise ValueError(f"tau must be finite and > 0, with 2 / tau finite, got {tau!r}")
     return float(tau)
 
 

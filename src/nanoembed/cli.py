@@ -14,7 +14,7 @@ import ctypes
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,7 @@ class RunConfig:
     to name an existing file when the config loads, not when the corpus is
     first read.
     gradcache_sub_batch is None unless the gradient cache is enabled.
+    sweep is the swept name ('beta' or 'k') and one miner per swept value.
     """
 
     corpus: CorpusSpec | Path
@@ -77,7 +78,7 @@ class RunConfig:
     optimizer: optim.OptimizerSettings
     steps: int
     gradcache_sub_batch: int | None
-    sweep: dict[str, list[float]] | None
+    sweep: tuple[str, tuple[ng.MinerConfig, ...]] | None
     seed: int
     output_dir: Path
 
@@ -103,7 +104,7 @@ def _build(section: str, factory, kwargs: dict):
         raise ValueError(f"bad {section!r} config: {exc}") from None
 
 
-def _load_sweep(raw: dict, miner_raw: dict) -> dict[str, list[float]] | None:
+def _load_sweep(raw: dict, miner_raw: dict) -> tuple[str, tuple[ng.MinerConfig, ...]] | None:
     if "sweep" not in raw or raw["sweep"] is None:
         return None
     sweep = raw["sweep"]
@@ -115,9 +116,7 @@ def _load_sweep(raw: dict, miner_raw: dict) -> dict[str, list[float]] | None:
     if not isinstance(values, list) or not values:
         raise ValueError(f"sweep over {name!r} needs a nonempty list of values")
     # Every swept miner must be valid before ablate trains the first one.
-    for value in values:
-        _build("sweep", ng.MinerConfig, {**miner_raw, name: value})
-    return {name: values if name == "k" else [float(v) for v in values]}
+    return name, tuple(_build("sweep", ng.MinerConfig, {**miner_raw, name: v}) for v in values)
 
 
 def load_config(
@@ -286,6 +285,22 @@ def _stage2_cached(
     )
 
 
+def _fine_tune(
+    cfg: RunConfig, checkpoint: str | None, corpus: Corpus, miner: ng.MinerConfig, mode: str
+) -> tuple[Encoder, list[StepMetrics]]:
+    """One stage-2 run from the starting encoder, through the gradient cache when it is on."""
+    encoder = _starting_encoder(cfg, checkpoint)
+    if cfg.gradcache_sub_batch is None:
+        trace = nce.stage2_train(
+            encoder, corpus, miner, cfg.optimizer, cfg.steps, negative_mode=mode, seed=cfg.seed
+        )
+    else:
+        trace = _stage2_cached(
+            encoder, corpus, miner, cfg.optimizer, cfg.steps, mode, cfg.seed, cfg.gradcache_sub_batch
+        )
+    return encoder, trace
+
+
 def _write_report(out_dir: Path, encoder: Encoder, corpus: Corpus) -> str:
     ks = (1, 5) if len(corpus.items) >= 5 else (1,)
     report = evaluate_checkpoint(encoder, corpus, ks=ks)
@@ -308,28 +323,7 @@ def cmd_stage1(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
 
 def cmd_stage2(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     corpus = _mining_corpus(cfg, [cfg.miner.k])
-    encoder = _starting_encoder(cfg, args.checkpoint)
-    if cfg.gradcache_sub_batch is not None:
-        trace = _stage2_cached(
-            encoder,
-            corpus,
-            cfg.miner,
-            cfg.optimizer,
-            cfg.steps,
-            args.mode,
-            cfg.seed,
-            cfg.gradcache_sub_batch,
-        )
-    else:
-        trace = nce.stage2_train(
-            encoder,
-            corpus,
-            cfg.miner,
-            cfg.optimizer,
-            cfg.steps,
-            negative_mode=args.mode,
-            seed=cfg.seed,
-        )
+    encoder, trace = _fine_tune(cfg, args.checkpoint, corpus, cfg.miner, args.mode)
     write_trace(cfg.output_dir / "trace.jsonl", trace)
     save_checkpoint(cfg.output_dir / "checkpoint.bin", encoder)
     return ["trace.jsonl", "checkpoint.bin"]
@@ -344,8 +338,8 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
 def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     if cfg.sweep is None:
         raise ValueError("ablate needs a 'sweep' section with 'beta' or 'k' values")
-    (name, values), = cfg.sweep.items()
-    corpus = _mining_corpus(cfg, values if name == "k" else [cfg.miner.k])
+    name, miners = cfg.sweep
+    corpus = _mining_corpus(cfg, [m.k for m in miners])
 
     # Filter and sampling rates are measured on the fixed starting encoder;
     # precision@1 comes from a fresh short run per sweep value.
@@ -356,15 +350,13 @@ def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
 
     pct_column = "false_neg_pct" if name == "beta" else "hard_neg_pct"
     lines = [f"{name},{pct_column},precision_at_1"]
-    for value in values:
-        miner = replace(cfg.miner, **{name: value})
+    for miner in miners:
         _, stats = ng.mine_batch(query_batch, candidate_batch, positives, miner)
-        pct = stats.false_neg_pct if name == "beta" else stats.hard_neg_pct
-        encoder = _starting_encoder(cfg, args.checkpoint)
-        nce.stage2_train(
-            encoder, corpus, miner, cfg.optimizer, cfg.steps, seed=cfg.seed,
-            sub_batch=cfg.gradcache_sub_batch,
-        )
+        if name == "beta":
+            value, pct = float(miner.beta), stats.false_neg_pct
+        else:
+            value, pct = miner.k, stats.hard_neg_pct
+        encoder, _ = _fine_tune(cfg, args.checkpoint, corpus, miner, "hard")
         report = evaluate_checkpoint(encoder, corpus, ks=(1,))
         lines.append(f"{value!r},{pct!r},{report.precision_at[1]!r}")
     with atomic_open(cfg.output_dir / "ablation.csv") as handle:
@@ -376,17 +368,7 @@ def cmd_tracegrad(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     corpus = _mining_corpus(cfg, [cfg.miner.k])
     outputs = []
     for mode in ng.NEGATIVE_MODES:
-        encoder = _starting_encoder(cfg, args.checkpoint)
-        trace = nce.stage2_train(
-            encoder,
-            corpus,
-            cfg.miner,
-            cfg.optimizer,
-            cfg.steps,
-            negative_mode=mode,
-            seed=cfg.seed,
-            sub_batch=cfg.gradcache_sub_batch,
-        )
+        _, trace = _fine_tune(cfg, args.checkpoint, corpus, cfg.miner, mode)
         filename = f"trace_{mode}.jsonl"
         write_trace(cfg.output_dir / filename, trace)
         outputs.append(filename)

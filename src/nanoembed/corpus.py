@@ -162,8 +162,9 @@ def _draw_features(
     return latent + noise
 
 
-def _orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+def _orthogonalized(matrix: np.ndarray) -> np.ndarray:
+    """The Q of matrix's QR factorization, its signs fixed so diag(R) > 0."""
+    q, r = np.linalg.qr(matrix)
     return q * np.sign(np.diag(r))
 
 
@@ -175,14 +176,12 @@ def _view(rng: np.random.Generator, dim: int, mix: float) -> np.ndarray:
     random rotation, and intermediate values leave a shrinking shared
     component between independently drawn views.
     """
-    random_part = _orthogonal(rng, dim)
+    random_part = _orthogonalized(rng.normal(size=(dim, dim)))
     if mix == 0.0:
         return np.eye(dim)
     if mix == 1.0:
         return random_part
-    blend = (1.0 - mix) * np.eye(dim) + mix * random_part
-    q, r = np.linalg.qr(blend)
-    return q * np.sign(np.diag(r))
+    return _orthogonalized((1.0 - mix) * np.eye(dim) + mix * random_part)
 
 
 def generate(spec: CorpusSpec) -> Corpus:

@@ -31,8 +31,7 @@ class DistillConfig:
 
     def __post_init__(self):
         check_types(self)
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        ad.check_tau(self.tau)
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
 

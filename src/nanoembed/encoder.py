@@ -273,8 +273,9 @@ def _renormalized(rows: np.ndarray) -> np.ndarray:
     opposite embeddings do, raises ValueError."""
     # Row by row what rows[i].dot(rows[i]) gives, hence np.linalg.norm, bit for bit.
     norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
-    if (norms < 1e-12).any():
-        raise ValueError(f"embeddings cancel in row {int((norms < 1e-12).argmax())}; its direction is undefined")
+    cancelled = norms < ad.NORM_FLOOR
+    if cancelled.any():
+        raise ValueError(f"embeddings cancel in row {int(cancelled.argmax())}; its direction is undefined")
     return rows / norms[:, None]
 
 

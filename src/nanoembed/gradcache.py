@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import negatives as ng
+from . import optim
 from .autodiff import Tensor
 from .distill import kl_distillation_loss
 from .encoder import EmbeddingBatch, Encoder, ItemRecord, ItemRows
@@ -135,8 +136,7 @@ def naive_step(
     params = encoder.parameters()
     emb = encoder.encode(items)
     loss = objective.loss_on(emb)
-    for p in params:
-        p.zero_grad()
+    optim.zero_grads(params)
     ad.backward(loss)
     grads = {p.name: p.grad.copy() for p in params if p.grad is not None}
     return grads, loss.item()
@@ -165,8 +165,7 @@ def cached_step(
     embedding_grad = leaf.grad
     del loss, leaf  # drop the loss graph before measuring pass-2 memory
 
-    for p in params:
-        p.zero_grad()
+    optim.zero_grads(params)
     ad.reset_peak_live_elements()
     live_start = ad.live_elements()
     for a, b in plan.ranges:

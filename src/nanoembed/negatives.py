@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .encoder import EmbeddingBatch
 from .fields import check_types
 
@@ -52,8 +53,7 @@ class MinerConfig:
         check_types(self)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        ad.check_tau(self.tau)
 
 
 @dataclass

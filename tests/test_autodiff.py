@@ -107,17 +107,17 @@ class TestForwardValues:
     def test_softmax_rejects_non_positive_temperature(self):
         x = ad.constant([[1.0, 2.0]])
         for tau in (0.0, -1.0):
-            with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            with pytest.raises(ValueError, match="tau must be finite and > 0"):
                 ad.softmax_rows(x, tau=tau)
-            with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            with pytest.raises(ValueError, match="tau must be finite and > 0"):
                 ad.log_softmax_rows(x, tau=tau)
 
     @pytest.mark.parametrize("tau", [float("inf"), -float("inf"), float("nan")])
     def test_non_finite_temperature_rejected(self, tau):
         # An infinite tau would flatten every softmax row to uniform.
-        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
             ad.check_tau(tau)
-        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
             ad.softmax_rows(ad.constant([[1.0, 2.0]]), tau=tau)
 
     def test_log_softmax_matches_log_of_softmax(self):

@@ -857,6 +857,18 @@ class TestAblate:
         assert lines[0] == "k,hard_neg_pct,precision_at_1"
         rates = [float(line.split(",")[1]) for line in lines[1:]]
         assert rates == [100.0 * k / 16 for k in (1, 2, 4)]
+        assert lines[1:] == ["1,6.25,0.3125", "2,12.5,0.1875", "4,25.0,0.1875"]
+
+    def test_integer_betas_print_and_train_as_floats(self, tmp_path):
+        config, checkpoint = make_stage1_checkpoint(tmp_path)
+        tables = []
+        for name, betas in (("int", [1, 2]), ("float", [1.0, 2.0])):
+            sweep = write_config(tmp_path, name=f"{name}.json", optimizer={"steps": 5}, sweep={"beta": betas})
+            out = tmp_path / name
+            assert run("ablate", "--config", sweep, "--checkpoint", checkpoint, "--out", out) == 0
+            tables.append((out / "ablation.csv").read_text())
+        assert [line.split(",")[0] for line in tables[0].splitlines()] == ["beta", "1.0", "2.0"]
+        assert tables[0] == tables[1]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config, checkpoint = make_stage1_checkpoint(tmp_path)
@@ -936,6 +948,17 @@ class TestTracegrad:
                     rtol=0.0, atol=1e-7,
                 )
 
+    @pytest.mark.parametrize("gradcache", [{"enabled": False}, {"enabled": True, "sub_batch": 5}],
+                             ids=["naive", "cached"])
+    def test_each_trace_equals_stage2_in_its_mode(self, tmp_path, gradcache):
+        _, checkpoint = make_stage1_checkpoint(tmp_path)
+        config = write_config(tmp_path, gradcache=gradcache)
+        assert run("tracegrad", "--config", config, "--checkpoint", checkpoint, "--out", tmp_path / "all") == 0
+        for mode in ng.NEGATIVE_MODES:
+            out = tmp_path / mode
+            assert run("stage2", "--config", config, "--checkpoint", checkpoint, "--mode", mode, "--out", out) == 0
+            assert (out / "trace.jsonl").read_bytes() == (tmp_path / "all" / f"trace_{mode}.jsonl").read_bytes()
+
 
 class TestRunInfo:
     def test_sidecar_lists_command_and_outputs(self, tmp_path):
@@ -1004,6 +1027,18 @@ class TestBadInputLeavesNoOutput:
         )
         err = self.assert_clean_failure(capsys, tmp_path / "out", command, "--config", config)
         assert err == "error: corpus has no query/positive pairs\n"
+
+    @pytest.mark.parametrize(
+        "command, section, tau",
+        [("stage1", "distill", 1e-320), ("stage1", "distill", 1e-308), ("stage2", "miner", 1e-320)],
+    )
+    def test_temperature_whose_logits_overflow(self, tmp_path, capsys, command, section, tau):
+        config = write_config(tmp_path, **{section: {**base_config()[section], "tau": tau}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self.assert_clean_failure(capsys, tmp_path / "out", command, "--config", config)
+        assert err.startswith(f"error: bad '{section}' config: tau must be finite and > 0, with 2 / tau finite")
+        assert "Warning" not in err
 
     def test_ablate_without_sweep(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -3,6 +3,8 @@ runs fields.check_types on its annotations before its range checks."""
 
 import ast
 import dataclasses
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -137,12 +139,40 @@ def test_fields_of_other_annotations_pass():
 
 @pytest.mark.parametrize("value", [10**400, True, "0.5", float("nan")])
 def test_check_tau_rejects_what_no_float_holds(value):
-    with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+    with pytest.raises(ValueError, match="tau must be finite and > 0"):
         ad.check_tau(value)
 
 
 def test_check_tau_returns_a_float():
     assert ad.check_tau(2) == 2.0 and isinstance(ad.check_tau(2), float)
+
+
+def test_check_tau_refuses_temperatures_whose_logit_gap_overflows():
+    # 2 / max rounds to 2**-1023, whose 2 / tau is 2**1024: the smallest
+    # temperature with a finite logit gap is the float just above it.
+    low = 2 / sys.float_info.max
+    assert low == 2.0**-1023
+    assert ad.check_tau(math.nextafter(low, 1.0)) > low
+    for tau in (low, math.nextafter(low, 0.0), 1e-320, 5e-324):
+        with pytest.raises(ValueError, match="tau must be finite and > 0, with 2 / tau finite"):
+            ad.check_tau(tau)
+
+
+def mentions_tau(node: ast.AST) -> bool:
+    return any("tau" in (getattr(n, "id", None), getattr(n, "attr", None)) for n in ast.walk(node))
+
+
+@pytest.mark.parametrize("module", sorted(Path(fl.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_check_tau_is_the_only_tau_range_check(module):
+    tree = ast.parse(module.read_text())
+    rule = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "check_tau"]
+    exempt = {id(node) for fn in rule for node in ast.walk(fn)}
+    compares = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and id(node) not in exempt and mentions_tau(node)
+    ]
+    assert not compares, f"check tau through autodiff.check_tau instead: {compares}"
 
 
 @pytest.mark.parametrize("value", [True, "3", 10**400, float("nan")])

@@ -5,12 +5,15 @@ At the benchmark's fine-tuning shape (24 groups x 16 items with a quarter
 of the queries given a planted near-duplicate: 384 queries x 480
 candidates) every step allocates and frees several 1.5 MB arrays. With
 glibc's default thresholds each free returns its block to the kernel and
-the next step faults it in again: through the library, about 240 minor
-faults per naive hard step and 1 040 per cached easy one (40 steps after 3
-warm-up steps). The guard runs the real CLI at two step counts and
-charges the difference in minor faults to the extra steps. A child's fixed
-cost varies by about 400 faults from run to run whatever its step count,
-so the runs are 100 steps apart: that noise then stays under 4 a step.
+the next step faults it in again: through the library, 364-366 minor
+faults per naive hard step and 1 015-1 072 per cached easy one (40 steps
+after 3 warm-up steps, 3 runs each). The naive count moves between builds
+that allocate the same arrays (from under 20 to about 365 so far), as
+blocks land in different places; the cached count stays near 1 000.
+The guard runs the real CLI at two step counts and charges the difference
+in minor faults to the extra steps. A child's fixed cost varies by about
+400 faults from run to run whatever its step count, so the runs are 100
+steps apart: that noise then stays under 4 a step.
 """
 
 import json

@@ -140,13 +140,13 @@ class TestHardLoss:
 
     def test_nonpositive_tau_rejected(self):
         rows = unit_rows(12, 3, 4)
-        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
             nce.infonce_hard_loss(triple_from(rows[:1], rows[1:2], rows[2:]), 0.0)
 
     def test_infinite_tau_rejected(self):
         # At tau = inf the batch loss would read ln(1 + k) whatever the embeddings.
         rows = unit_rows(13, 3, 4)
-        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
             nce.infonce_batch_loss(ad.constant(rows[:1] @ rows.T), [1], [[2]], float("inf"))
 
     def test_gradient_matches_finite_differences(self):
