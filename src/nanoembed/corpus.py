@@ -44,6 +44,8 @@ class CorpusSpec:
     pairs) per group. Scales are expected offset norms: centroid_scale for
     group centroids, pair_scale for the per-pair latent offset, and
     noise_scale for the per-position noise around the pair latent.
+    Sizes whose float64 features take more bytes than an intp can count,
+    which no address space holds, are refused before anything allocates.
     """
 
     seed: int = 0
@@ -85,6 +87,15 @@ class CorpusSpec:
             raise ValueError(f"modality_mix weights must sum to 1, got {total}")
         if self.modality_mix.get("fused", 0.0) > 0.0 and lo < 2:
             raise ValueError("fused items need seq_len_range starting at 2 or more")
+        # The two input_dim^2 views, then up to three sequences per pair
+        # (query, positive, planted copy), counted in Python ints, which never overflow.
+        dim = self.input_dim
+        features = 2 * dim * dim + 3 * self.n_groups * self.items_per_group * hi * dim
+        if features * 8 > np.iinfo(np.intp).max:
+            raise ValueError(
+                "n_groups, items_per_group, input_dim and seq_len_range"
+                " ask for more features than an address space holds"
+            )
 
 
 @dataclass

@@ -113,50 +113,44 @@ def stage2_train(
 ) -> list[StepMetrics]:
     """Contrastive fine-tuning against the full candidate pool.
 
-    Every step encodes a seeded permutation of all queries plus every
-    candidate item and descends the mean InfoNCE loss of one
+    Every step encodes all queries, in corpus pair order, plus every
+    candidate item and descends the mean InfoNCE loss of the call's one
     ContrastiveObjective, which mines per-query negatives in the requested
     mode and scores the batch on both paths.  Without sub_batch the step
     encodes queries and candidates with recording and backpropagates once;
     with it, the step runs through the two-pass gradient cache over
     sub-batches of that many rows and mines once, on the pass-1 embeddings.
-    Batch and random-negative draws come from one generator in the same
-    order on both paths, so they walk the same trajectory up to float
-    round-off.  The trace records the objective's selection rates and the
-    pre-clip gradient norm.
+    Random-negative draws, the only use of seed, come from one generator in
+    the same order on both paths, so they walk the same trajectory up to
+    float round-off.  A mining error's "query i" is pair i.  The trace
+    records the objective's selection rates and the pre-clip gradient norm.
     """
     ng.check_mode(negative_mode)
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     queries = corpus.queries()
     n, m = len(queries), len(corpus.items)
-    # Queries, then every candidate, stacked once; each step gathers from it.
+    # Queries, then every candidate, stacked once; every step encodes this block.
     rows = ItemRows.of(queries + corpus.items, encoder.config.input_dim)
-    candidates, candidate_indices = rows[n:], np.arange(n, n + m)
-    all_positives = np.array(corpus.positive_indices(), dtype=np.intp)
+    positives = np.array(corpus.positive_indices(), dtype=np.intp)
+    # default_rng(rng) returns rng itself, so random-mode mining draws on from one stream.
     rng = np.random.default_rng(seed)
+    objective = ContrastiveObjective(n, positives, config, mode=negative_mode, seed=rng)
     params = encoder.parameters()
     optimizer = optim.make_optimizer(settings)
     plan = None if sub_batch is None else CachePlan(effective_batch=n + m, sub_batch=min(sub_batch, n + m))
     trace: list[StepMetrics] = []
     for step in range(steps):
-        picks = rng.choice(n, size=n, replace=False)
-        # default_rng(rng) returns rng itself, so mining draws from the loop's stream.
-        objective = ContrastiveObjective(
-            n_queries=n, positives=all_positives[picks], config=config,
-            mode=negative_mode, seed=rng,
-        )
         try:
             if plan is None:
                 batch_loss = objective.loss_between(
-                    encoder.encode(rows[picks]).matrix, encoder.encode(candidates).matrix
+                    encoder.encode(rows[:n]).matrix, encoder.encode(rows[n:]).matrix
                 )
                 optim.zero_grads(params)
                 ad.backward(batch_loss)
                 loss = batch_loss.item()
             else:
-                block = rows[np.concatenate((picks, candidate_indices))]
-                _, loss, _ = cached_step(encoder, block, objective, plan)
+                _, loss, _ = cached_step(encoder, rows, objective, plan)
             grad_norm = optim.clip_global_norm(params, settings.clip_norm)
             optimizer.step(params)
             optim.check_finite(params)

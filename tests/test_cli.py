@@ -33,6 +33,9 @@ DIVERGENT_SGD = {"kind": "sgd", "learning_rate": 1e300, "clip_norm": 1e300, "ste
 OVERFLOWING_UPDATE = {"learning_rate": 1e308, "clip_norm": 1e308, "steps": 12}
 TEACHER_WIDTH = "teacher input_dim 4 != encoder input_dim 8"
 OVERSIZED = "input_dim, hidden_dim, embed_dim and depth ask for more weights than an address space holds"
+OVERSIZED_CORPUS = (
+    "n_groups, items_per_group, input_dim and seq_len_range ask for more features than an address space holds"
+)
 
 
 def base_config(**overrides):
@@ -451,6 +454,22 @@ class TestStage2:
         assert run("stage2", "--config", config, "--mode", "hard", "--out", tmp_path / "out") == 2
         assert capsys.readouterr().err == "error: step 0: query 0: no eligible candidates remain after filtering\n"
         assert not (tmp_path / "out").exists()
+
+    def test_mining_failure_names_the_pair_whatever_the_seed(self, tmp_path, capsys):
+        # From this untrained encoder every candidate of one query is filtered away.
+        config = write_config(
+            tmp_path, corpus={"seed": 10**400, "n_groups": 2, "items_per_group": 4, "input_dim": 4},
+            encoder={"hidden_dim": 4, "embed_dim": 4, "seed": 0}, optimizer={"steps": 1}, miner={"k": 2},
+        )
+        cfg = load_config(config)
+        corpus, encoder = cfg.load_corpus(), Encoder(cfg.encoder)
+        sims = encoder.encode(corpus.queries()).matrix.values @ encoder.encode(corpus.items).matrix.values.T
+        with pytest.raises(ng.NoEligibleNegativesError) as pair_order:
+            ng.select_negatives(sims, corpus.positive_indices(), cfg.miner.k, "hard", cfg.miner.beta, None)
+        capsys.readouterr()
+        for seed in (1, 2, 3):
+            assert run("stage2", "--config", config, "--seed", seed, "--out", tmp_path / "out") == 2
+            assert capsys.readouterr().err == f"error: step 0: {pair_order.value}\n"
 
     @pytest.mark.parametrize("gradcache", [{"enabled": False}, {"enabled": True, "sub_batch": 5}],
                              ids=["naive", "cached"])
@@ -1068,6 +1087,19 @@ class TestBadInputLeavesNoOutput:
         err = self.assert_clean_failure(capsys, tmp_path / "out", command, "--config", config)
         assert time.perf_counter() - started < 2.0
         assert err == f"error: bad 'encoder' config: {OVERSIZED}\n"
+
+    # Refused at load, before generation allocates or, for n_groups, loops.
+    @pytest.mark.parametrize("corpus", [
+        {"seq_len_range": [2, 2**62]},
+        {"seq_len_range": [1, 2**63]},
+        {"n_groups": 10**400},
+    ], ids=["seq_len_2**62", "seq_len_2**63", "n_groups_10**400"])
+    def test_corpus_beyond_any_address_space_fails_at_load(self, tmp_path, capsys, corpus):
+        config = write_config(tmp_path, corpus={**CORPUS, **corpus})
+        started = time.perf_counter()
+        err = self.assert_clean_failure(capsys, tmp_path / "out", "eval", "--config", config)
+        assert time.perf_counter() - started < 2.0
+        assert err == f"error: bad 'corpus' config: {OVERSIZED_CORPUS}\n"
 
     def test_oversized_teacher_names_its_section(self, tmp_path, capsys):
         config = write_config(tmp_path, teacher={"depth": 10**400})

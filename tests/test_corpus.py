@@ -69,6 +69,15 @@ class TestSpecValidation:
             cp.CorpusSpec(modality_mix={"fused": 1.0}, seq_len_range=(1, 3))
         cp.CorpusSpec(modality_mix={"fused": 1.0}, seq_len_range=(2, 3))
 
+    def test_features_beyond_any_address_space_rejected(self):
+        # One pair of width 1: two 1 x 1 views and three sequences of up to hi
+        # positions, 8 bytes a feature. Building a spec allocates nothing.
+        hi = (np.iinfo(np.intp).max // 8 - 2) // 3
+        sizes = {"n_groups": 1, "items_per_group": 1, "input_dim": 1}
+        cp.CorpusSpec(**sizes, seq_len_range=(1, hi))
+        with pytest.raises(ValueError, match="^n_groups, items_per_group, input_dim and seq_len_range ask"):
+            cp.CorpusSpec(**sizes, seq_len_range=(1, hi + 1))
+
 
 class TestGenerate:
     def test_counts_and_groups(self):

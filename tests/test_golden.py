@@ -7,8 +7,9 @@ version, BLAS name and version, and core type. On a key the manifest
 lacks, every command runs twice, the two runs must agree, and a warning
 names the missing key.
 
-Regenerate the manifest with ``python tests/test_golden.py --write``. A
-change that means to move artifact bytes regenerates it and says so.
+Regenerate the manifest with ``python tests/test_golden.py --write``, which
+lists every artifact path added, removed or changed under the current key.
+A change that means to move artifact bytes regenerates it and says so.
 """
 
 from __future__ import annotations
@@ -107,7 +108,10 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: python tests/test_golden.py --write")
     manifest = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    old = manifest.get(manifest_key(), {})
     with tempfile.TemporaryDirectory() as scratch:
-        manifest[manifest_key()] = run_all(Path(scratch) / "run")
+        manifest[manifest_key()] = new = run_all(Path(scratch) / "run")
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST}: {manifest_key()}")
+    for name in differing(old, new):
+        print(f"  {'added' if name not in old else 'removed' if name not in new else 'changed'} {name}")

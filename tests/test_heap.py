@@ -5,8 +5,8 @@ At the benchmark's fine-tuning shape (24 groups x 16 items with a quarter
 of the queries given a planted near-duplicate: 384 queries x 480
 candidates) every step allocates and frees several 1.5 MB arrays. With
 glibc's default thresholds each free returns its block to the kernel and
-the next step faults it in again: through the library, 364-366 minor
-faults per naive hard step and 1 015-1 072 per cached easy one (40 steps
+the next step faults it in again: through the library, 106-109 minor
+faults per naive hard step and 1 046-1 054 per cached easy one (40 steps
 after 3 warm-up steps, 3 runs each). The naive count moves between builds
 that allocate the same arrays (from under 20 to about 365 so far), as
 blocks land in different places; the cached count stays near 1 000.

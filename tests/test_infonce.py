@@ -8,6 +8,7 @@ from nanoembed import autodiff as ad
 from nanoembed import corpus as cp
 from nanoembed import encoder as enc
 from nanoembed import infonce as nce
+from nanoembed import metrics
 from nanoembed import negatives as ng
 from nanoembed import optim
 
@@ -269,6 +270,21 @@ class TestStage2Train:
                 )
             )
         assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("sub_batch", [None, 5], ids=["naive", "cached"])
+    @pytest.mark.parametrize("mode", ["hard", "easy", "random"])
+    def test_only_random_mode_depends_on_seed(self, tmp_path, mode, sub_batch):
+        # Every step takes all pairs in corpus order, so seed feeds random negatives alone.
+        corpus, _ = small_setup()
+        runs = []
+        for seed in (3, 4):
+            _, encoder = small_setup()
+            trace = nce.stage2_train(encoder, corpus, ng.MinerConfig(beta=0.0, k=4), optim.OptimizerSettings(),
+                                     steps=4, negative_mode=mode, seed=seed, sub_batch=sub_batch)
+            metrics.write_trace(tmp_path / f"{seed}.jsonl", trace)
+            weights = b"".join(p.values.tobytes() for p in encoder.parameters())
+            runs.append(((tmp_path / f"{seed}.jsonl").read_bytes(), weights))
+        assert (runs[0] == runs[1]) == (mode != "random")
 
     @pytest.mark.parametrize("sub_batch", [None, 5], ids=["naive", "cached"])
     def test_rows_are_stacked_once_per_run(self, monkeypatch, sub_batch):
