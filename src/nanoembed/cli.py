@@ -304,9 +304,9 @@ def _fine_tune(
 def _write_report(out_dir: Path, encoder: Encoder, corpus: Corpus) -> str:
     ks = (1, 5) if len(corpus.items) >= 5 else (1,)
     report = evaluate_checkpoint(encoder, corpus, ks=ks)
-    with atomic_open(out_dir / "report.json") as handle:
+    with atomic_open(out_dir / "report.json", "wb") as handle:
         report.write_json(handle)
-        handle.write("\n")
+        handle.write(b"\n")
     return "report.json"
 
 

@@ -22,6 +22,7 @@ filter's job verifiable.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -152,25 +153,18 @@ class Corpus:
         return [self._index[pair.positive_id] for pair in self.pairs]
 
 
-def _modality_cdf(mix: dict[str, float]) -> tuple[list[str], np.ndarray]:
+def _modality_cdf(mix: dict[str, float]) -> tuple[list[str], list[float]]:
     """Sorted modality names and the cdf Generator.choice builds from p."""
     names = sorted(mix)
     weights = np.array([mix[n] for n in names])
     cdf = np.cumsum(weights / weights.sum())
     cdf /= cdf[-1]
-    return names, cdf
+    return names, cdf.tolist()
 
 
-def _draw_modality(rng: np.random.Generator, names: list[str], cdf: np.ndarray) -> str:
+def _draw_modality(rng: np.random.Generator, names: list[str], cdf: list[float]) -> str:
     # Same stream and picks as rng.choice(len(names), p=...), without re-checking p.
-    return names[int(cdf.searchsorted(rng.random(), side="right"))]
-
-
-def _draw_features(
-    rng: np.random.Generator, latent: np.ndarray, length: int, noise_scale: float, dim: int
-) -> np.ndarray:
-    noise = rng.normal(size=(length, dim)) * (noise_scale / np.sqrt(dim))
-    return latent + noise
+    return names[bisect.bisect_right(cdf, rng.random())]
 
 
 def _orthogonalized(matrix: np.ndarray) -> np.ndarray:
@@ -209,17 +203,19 @@ def generate(spec: CorpusSpec) -> Corpus:
         c = rng.normal(size=dim)
         centroids.append(c / np.linalg.norm(c) * spec.centroid_scale)
 
+    pair_spread = spec.pair_scale / np.sqrt(dim)
+    noise_spread = spec.noise_scale / np.sqrt(dim)
     items: list[ItemRecord] = []
     pairs: list[PairRecord] = []
     for g in range(spec.n_groups):
         group = f"g{g:02d}"
         for j in range(spec.items_per_group):
-            latent = centroids[g] + rng.normal(size=dim) * (spec.pair_scale / np.sqrt(dim))
+            latent = centroids[g] + rng.normal(size=dim) * pair_spread
             q_len = int(rng.integers(lo, hi + 1))
-            q_feats = _draw_features(rng, query_view @ latent, q_len, spec.noise_scale, dim)
+            q_feats = query_view @ latent + rng.normal(size=(q_len, dim)) * noise_spread
             q_modality = _draw_modality(rng, modality_names, modality_cdf)
             c_len = int(rng.integers(lo, hi + 1))
-            c_feats = _draw_features(rng, candidate_view @ latent, c_len, spec.noise_scale, dim)
+            c_feats = candidate_view @ latent + rng.normal(size=(c_len, dim)) * noise_spread
             c_modality = _draw_modality(rng, modality_names, modality_cdf)
             query = ItemRecord(f"q{g:02d}-{j:02d}", q_modality, q_feats, group=group)
             positive = ItemRecord(f"c{g:02d}-{j:02d}", c_modality, c_feats, group=group)

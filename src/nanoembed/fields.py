@@ -4,6 +4,7 @@ JSON-lines reader."""
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -38,16 +39,20 @@ _RULES = {
 }
 
 
+@functools.cache
+def _ruled_fields(cls) -> tuple:
+    """(name, test, what) for each field of a dataclass that has a rule, in field order."""
+    return tuple((f.name, *_RULES[f.type]) for f in fields(cls) if f.type in _RULES)
+
+
 def check_types(instance) -> None:
     """Raise ValueError naming the first field of a dataclass that breaks the
     rule for its annotation string (the package postpones them); settings
     and record classes call this first in __post_init__, then check ranges."""
-    for f in fields(instance):
-        if f.type in _RULES:
-            test, what = _RULES[f.type]
-            value = getattr(instance, f.name)
-            if not test(value):
-                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+    for name, test, what in _ruled_fields(type(instance)):
+        value = getattr(instance, name)
+        if not test(value):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def json_lines(path) -> Iterator[tuple[str, object]]:

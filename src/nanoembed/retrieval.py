@@ -29,26 +29,63 @@ def rank_scores(scores: np.ndarray) -> list[int]:
     return [int(i) for i in order]
 
 
-def rank_candidates(q_row: np.ndarray, candidates: EmbeddingBatch) -> np.ndarray:
-    """Candidate indices ordered by cosine similarity to the query.
+# Queries ranked per pass: their score rows fit in cache while they sort.
+_BLOCK = 8
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 
-    The same order as rank_scores of the same scores.  numpy's default
-    (unstable, SIMD) sort runs first; when its sorted keys rise strictly,
-    every key is distinct and the order is unique.  A row with a tie or a
-    NaN fails that test (NaN compares false) and is re-sorted stably,
-    which keeps tied candidates in ascending index order.
+
+def _rank_block(scores: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each row's candidate indices by descending score, ties by
+    ascending index, into out with one sort of packed keys; scores (a
+    C-contiguous float64 block) is overwritten.
+
+    Each score's bits map to an int64 that orders descending by score
+    (-0.0 made 0.0 first), and the low bits that hold the largest index
+    are replaced by the index.  Returns the rows that order may get wrong,
+    those with a NaN or with two neighbours whose truncated keys are equal
+    (a tie, or scores that differ only in the replaced bits).
     """
-    if len(candidates) == 0:
+    bits = (scores.shape[1] - 1).bit_length()
+    scores += 0.0
+    inexact = np.isnan(scores).any(axis=1)
+    keys = scores.view(np.int64)
+    keys ^= (keys >> 63) & _MAGNITUDE
+    np.invert(keys, out=keys)
+    keys &= np.int64(-1) << bits
+    keys |= np.arange(scores.shape[1], dtype=np.int64)
+    keys.sort(axis=1)
+    truncated = keys >> bits
+    inexact |= (truncated[:, 1:] == truncated[:, :-1]).any(axis=1)
+    np.bitwise_and(keys, (1 << bits) - 1, out=keys)
+    out[...] = keys
+    return inexact
+
+
+def rank_candidates(queries: np.ndarray, candidates: EmbeddingBatch) -> np.ndarray:
+    """Each query row's candidate indices ordered by cosine similarity, as an
+    n x m matrix in the narrowest unsigned dtype that holds m - 1.
+
+    Row i is rank_scores of candidates.values @ queries[i].  Blocks of
+    query rows are scored one matrix-vector product per query and ordered
+    by _rank_block; a row it cannot order exactly is re-sorted stably on
+    its scores.
+    """
+    m = len(candidates)
+    if m == 0:
         raise ValueError("no candidates to rank")
-    q = np.asarray(q_row, dtype=np.float64).reshape(-1)
-    if q.size != candidates.dim:
-        raise ValueError(f"query width {q.size} != candidate width {candidates.dim}")
-    keys = -(candidates.values @ q)
-    order = np.argsort(keys)
-    ranked = keys[order]
-    if (ranked[1:] > ranked[:-1]).all():
-        return order
-    return np.argsort(keys, kind="stable")
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != candidates.dim:
+        raise ValueError(f"queries of shape {queries.shape} do not match candidate width {candidates.dim}")
+    order = np.empty((len(queries), m), dtype=np.min_scalar_type(m - 1))
+    scores = np.empty((_BLOCK, m))
+    for start in range(0, len(queries), _BLOCK):
+        block = queries[start : start + _BLOCK]
+        rows = scores[: len(block)]
+        for row, q in zip(rows, block):
+            np.matmul(candidates.values, q, out=row)
+        for i in np.flatnonzero(_rank_block(rows, order[start : start + len(block)])):
+            order[start + i] = np.argsort(-(candidates.values @ block[i]), kind="stable")
+    return order
 
 
 def _hit_counts(hits: np.ndarray, k: int) -> np.ndarray:
@@ -92,44 +129,44 @@ class RetrievalReport:
     precision_at: dict[int, float]
     recall_at: dict[int, float]
 
-    def write_json(self, handle: IO[str]) -> None:
+    def write_json(self, handle: IO[bytes]) -> None:
         """Write json.dumps of {precision_at, recall_at, ranked} with
-        sort_keys=True and indent=2, one query at a time."""
-        handle.write('{\n  "precision_at": ')
-        handle.write(_nested_json({str(k): v for k, v in self.precision_at.items()}))
-        handle.write(',\n  "ranked": {')
+        sort_keys=True and indent=2, ASCII-encoded, one query at a time."""
+        handle.write(b'{\n  "precision_at": ')
+        handle.write(_nested_json({str(k): v for k, v in self.precision_at.items()}).encode())
+        handle.write(b',\n  "ranked": {')
         # Each candidate's row is ",\n      " + its JSON string, and a query's
         # list is its rows in ranked order less the leading comma. Rows of
         # one length gather as a fixed-width byte table (json.dumps writes
-        # ASCII); rows of several lengths join as strings, which measured
-        # faster than deleting a byte table's NUL padding.
-        quoted = [f",\n      {json.dumps(cid)}" for cid in self.candidate_ids]
+        # ASCII) whose bytes go out as they lie; rows of several lengths
+        # join as bytes, which measured faster than deleting a byte table's
+        # NUL padding.
+        quoted = [f",\n      {json.dumps(cid)}".encode() for cid in self.candidate_ids]
         fixed = len(set(map(len, quoted))) == 1
         table = np.array(quoted, dtype=np.bytes_ if fixed else object)
-        separator = "\n    "
+        separator = b"\n    "
         for i in sorted(range(len(self.query_ids)), key=self.query_ids.__getitem__):
-            ranked = table[self.order[i]]
-            items = ranked.tobytes().decode() if fixed else "".join(ranked.tolist())
-            handle.write(f"{separator}{json.dumps(self.query_ids[i])}: [{items[1:]}\n    ]")
-            separator = ",\n    "
-        handle.write("\n  }" if self.query_ids else "}")
-        handle.write(',\n  "recall_at": ')
-        handle.write(_nested_json({str(k): v for k, v in self.recall_at.items()}))
-        handle.write("\n}")
+            ranked = np.take(table, self.order[i])
+            handle.write(b"%s%s: [" % (separator, json.dumps(self.query_ids[i]).encode()))
+            handle.write(memoryview(ranked.view(np.uint8))[1:] if fixed else b"".join(ranked.tolist())[1:])
+            handle.write(b"\n    ]")
+            separator = b",\n    "
+        handle.write(b"\n  }" if self.query_ids else b"}")
+        handle.write(b',\n  "recall_at": ')
+        handle.write(_nested_json({str(k): v for k, v in self.recall_at.items()}).encode())
+        handle.write(b"\n}")
 
     def to_json(self) -> str:
-        buffer = io.StringIO()
+        buffer = io.BytesIO()
         self.write_json(buffer)
-        return buffer.getvalue()
+        return buffer.getvalue().decode()
 
 
 def evaluate_checkpoint(encoder: Encoder, corpus: Corpus, ks: Sequence[int] = (1, 5)) -> RetrievalReport:
     """Rank every corpus query against all items; each query's labeled positive is its one relevant item."""
     queries = embed_items(encoder, corpus.queries())
     candidates = embed_items(encoder, corpus.items)
-    order = np.empty((len(queries), len(candidates)), dtype=np.min_scalar_type(max(len(candidates) - 1, 0)))
-    for i, row in enumerate(queries.values):
-        order[i] = rank_candidates(row, candidates)
+    order = rank_candidates(queries.values, candidates)
     # The metrics read no further down a ranking than the largest cutoff.
     hits = order[:, : max(ks, default=0)] == np.array(corpus.positive_indices())[:, None]
     precision = {int(k): precision_at_k(hits, k) for k in ks}

@@ -555,7 +555,7 @@ class TestEval:
         before = (out / "report.json").read_bytes()
 
         def failing_write_json(self, handle):
-            handle.write('{\n  "precision_at": ')
+            handle.write(b'{\n  "precision_at": ')
             raise RuntimeError("disk gone")
 
         monkeypatch.setattr(RetrievalReport, "write_json", failing_write_json)

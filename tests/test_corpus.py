@@ -79,6 +79,61 @@ class TestSpecValidation:
             cp.CorpusSpec(**sizes, seq_len_range=(1, hi + 1))
 
 
+def oracle_generate(spec):
+    """corpus.generate as it was before its loop invariants were hoisted:
+    both spreads divided per pair, the modality drawn with searchsorted."""
+    rng = np.random.default_rng(spec.seed)
+    dim = spec.input_dim
+    lo, hi = spec.seq_len_range
+    query_view = cp._view(rng, dim, spec.view_mix)
+    candidate_view = cp._view(rng, dim, spec.view_mix)
+    names, cdf = cp._modality_cdf(spec.modality_mix)
+    cdf = np.array(cdf)
+
+    def draw_features(latent, length):
+        noise = rng.normal(size=(length, dim)) * (spec.noise_scale / np.sqrt(dim))
+        return latent + noise
+
+    def draw_modality():
+        return names[int(cdf.searchsorted(rng.random(), side="right"))]
+
+    centroids = []
+    for _ in range(spec.n_groups):
+        c = rng.normal(size=dim)
+        centroids.append(c / np.linalg.norm(c) * spec.centroid_scale)
+    items, pairs = [], []
+    for g in range(spec.n_groups):
+        group = f"g{g:02d}"
+        for j in range(spec.items_per_group):
+            latent = centroids[g] + rng.normal(size=dim) * (spec.pair_scale / np.sqrt(dim))
+            q_len = int(rng.integers(lo, hi + 1))
+            q_feats = draw_features(query_view @ latent, q_len)
+            q_modality = draw_modality()
+            c_len = int(rng.integers(lo, hi + 1))
+            c_feats = draw_features(candidate_view @ latent, c_len)
+            c_modality = draw_modality()
+            query = cp.ItemRecord(f"q{g:02d}-{j:02d}", q_modality, q_feats, group=group)
+            positive = cp.ItemRecord(f"c{g:02d}-{j:02d}", c_modality, c_feats, group=group)
+            items.append(positive)
+            pairs.append(cp.PairRecord(query=query, positive_id=positive.id))
+    quota = int(round(spec.false_negative_rate * len(pairs)))
+    if quota:
+        chosen = rng.choice(len(pairs), size=quota, replace=False)
+        for idx in sorted(int(i) for i in chosen):
+            pair = pairs[idx]
+            positive = items[idx]
+            feats = positive.features.copy()
+            feats[-1] = (1.0 - cp._PLANTED_BLEND) * feats[-1] + cp._PLANTED_BLEND * pair.query.features[-1]
+            feats += rng.normal(size=feats.shape) * (spec.noise_scale / 10.0 / np.sqrt(dim))
+            items.append(cp.ItemRecord(pair.query.id + cp.PLANTED_SUFFIX, positive.modality, feats, group=positive.group))
+            pair.is_false_negative_planted = True
+    return cp.Corpus(items, pairs)
+
+
+def item_fields(it):
+    return it.id, it.modality, it.group, it.features.shape, it.features.tobytes()
+
+
 class TestGenerate:
     def test_counts_and_groups(self):
         corpus = cp.generate(SPEC)
@@ -89,6 +144,20 @@ class TestGenerate:
         assert len(groups) == SPEC.n_groups
         for pair in corpus.pairs:
             assert corpus.item_by_id(pair.positive_id).group == pair.query.group
+
+    @pytest.mark.parametrize("view_mix", [0.0, 0.5, 1.0])
+    def test_matches_the_per_pair_oracle(self, view_mix):
+        spec = cp.CorpusSpec(
+            seed=31, n_groups=5, items_per_group=6, input_dim=7, seq_len_range=(2, 5), false_negative_rate=0.25,
+            modality_mix={"text": 0.5, "image": 0.3, "fused": 0.2}, view_mix=view_mix,
+        )
+        got, want = cp.generate(spec), oracle_generate(spec)
+        assert [item_fields(it) for it in got.items] == [item_fields(it) for it in want.items]
+        assert [(item_fields(p.query), p.positive_id, p.is_false_negative_planted) for p in got.pairs] == [
+            (item_fields(p.query), p.positive_id, p.is_false_negative_planted) for p in want.pairs
+        ]
+        assert {it.modality for it in got.items} == {"text", "image", "fused"}
+        assert any(p.is_false_negative_planted for p in got.pairs)
 
     def test_deterministic_across_calls(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

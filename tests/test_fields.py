@@ -137,6 +137,33 @@ def test_fields_of_other_annotations_pass():
         fl.check_types(Named(label="x", size=3.0))
 
 
+def test_second_instance_names_the_same_first_bad_field():
+    # The rules are read once per class; a later instance is checked by them all.
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^tau must be a finite number, got True$"):
+            DistillConfig(tau=True, batch_size="x")
+    with pytest.raises(ValueError, match=r"^batch_size must be an integer, got 'x'$"):
+        DistillConfig(batch_size="x")
+
+
+def test_subclass_with_an_extra_ruled_field_gets_its_own_rules():
+    @dataclasses.dataclass
+    class Base:
+        size: "int"
+
+    @dataclasses.dataclass
+    class Extended(Base):
+        label: "str"
+
+    fl.check_types(Base(size=3))
+    fl.check_types(Extended(size=3, label="x"))
+    with pytest.raises(ValueError, match=r"^label must be a string, got 5$"):
+        fl.check_types(Extended(size=3, label=5))
+    with pytest.raises(ValueError, match=r"^size must be an integer, got 3\.0$"):
+        fl.check_types(Extended(size=3.0, label=5))
+    fl.check_types(Base(size=3))
+
+
 @pytest.mark.parametrize("value", [10**400, True, "0.5", float("nan")])
 def test_check_tau_rejects_what_no_float_holds(value):
     with pytest.raises(ValueError, match="tau must be finite and > 0"):

@@ -59,34 +59,69 @@ class TestRankScores:
         assert rt.rank_scores(scores) == rt.rank_scores(3.7 * scores)
 
 
+def narrowest_index_dtype(m):
+    """The smallest unsigned integer type whose range holds index m - 1."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if m - 1 <= np.iinfo(t).max)
+
+
+def rank_one(q, candidates):
+    return rt.rank_candidates(np.asarray(q, dtype=np.float64)[None, :], candidates)[0]
+
+
+def assert_matches_oracle(queries, candidates):
+    """Every row of the block ranking equals rank_scores of that query's scores."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    order = rt.rank_candidates(queries, candidates)
+    assert order.shape == (len(queries), len(candidates))
+    assert order.dtype == narrowest_index_dtype(len(candidates))
+    for row, q in zip(order, queries):
+        assert row.tolist() == rt.rank_scores(candidates.values @ q)
+
+
+def unit_rows(rng, n, d):
+    rows = rng.normal(size=(n, d))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 class TestRankCandidates:
     def test_identical_candidate_ranked_first(self):
         q = np.array([1.0, 0.0, 0.0])
         rows = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
         candidates = batch_from_rows(rows, "c")
-        order = rt.rank_candidates(q, candidates)
+        order = rank_one(q, candidates)
         assert order[0] == 1
         assert candidates.values[1] @ q == pytest.approx(1.0)
 
     def test_matches_brute_force_on_200_candidates(self):
         rng = np.random.default_rng(7)
         candidates = unit_batch(rng, 200, 16, "c")
-        q = rng.normal(size=16)
-        q /= np.linalg.norm(q)
-        sims = candidates.values @ q
-        expected = sorted(range(200), key=lambda j: (-sims[j], j))
-        assert rt.rank_candidates(q, candidates).tolist() == expected
+        queries = unit_rows(rng, 13, 16)
+        order = rt.rank_candidates(queries, candidates)
+        for row, q in zip(order, queries):
+            sims = candidates.values @ q
+            assert row.tolist() == sorted(range(200), key=lambda j: (-sims[j], j))
 
     def test_duplicate_rows_keep_index_order(self):
         row = np.array([0.6, 0.8])
         candidates = batch_from_rows(np.stack([row, row, row]), "c")
-        assert rt.rank_candidates(np.array([1.0, 0.0]), candidates).tolist() == [0, 1, 2]
+        assert rank_one(np.array([1.0, 0.0]), candidates).tolist() == [0, 1, 2]
 
-    def test_width_mismatch_rejected(self):
+    @pytest.mark.parametrize("queries", [np.ones((1, 5)), np.ones(8), np.ones((2, 2, 8))], ids=["width", "1-d", "3-d"])
+    def test_query_shape_mismatch_rejected(self, queries):
         rng = np.random.default_rng(3)
         candidates = unit_batch(rng, 4, 8, "c")
-        with pytest.raises(ValueError):
-            rt.rank_candidates(np.ones(5), candidates)
+        with pytest.raises(ValueError, match="do not match candidate width 8"):
+            rt.rank_candidates(queries, candidates)
+
+    def test_no_queries_rank_to_an_empty_matrix(self):
+        candidates = unit_batch(np.random.default_rng(4), 300, 4, "c")
+        order = rt.rank_candidates(np.empty((0, 4)), candidates)
+        assert order.shape == (0, 300) and order.dtype == np.uint16
+
+    def test_no_candidates_rejected(self):
+        candidates = enc.EmbeddingBatch([], ad.constant(np.empty((0, 4))))
+        with pytest.raises(ValueError, match="no candidates to rank"):
+            rt.rank_candidates(np.ones((1, 4)), candidates)
 
     # Scores on a 0.1 grid tie often; -0.0 and 0.0 compare equal and must
     # tie as well.
@@ -95,37 +130,81 @@ class TestRankCandidates:
                     min_size=1, max_size=40))
     def test_matches_rank_scores_oracle(self, grid_scores):
         candidates = scored_candidates(grid_scores)
-        order = rt.rank_candidates(SCORING_QUERY, candidates)
-        assert order.dtype == np.intp
-        assert order.tolist() == rt.rank_scores(candidates.values @ SCORING_QUERY)
+        order = rt.rank_candidates(SCORING_QUERY[None, :], candidates)
+        assert order.dtype == narrowest_index_dtype(len(grid_scores))
+        assert order[0].tolist() == rt.rank_scores(candidates.values @ SCORING_QUERY)
 
 
-def assert_matches_oracle(q, candidates):
-    assert rt.rank_candidates(q, candidates).tolist() == rt.rank_scores(candidates.values @ q)
+def scoring_block(rng, n):
+    """n queries: SCORING_QUERY first, which scores scored_candidates exactly,
+    then random unit rows."""
+    return np.vstack([SCORING_QUERY, unit_rows(rng, n - 1, 2)])
+
+
+def with_low_bits(score, low):
+    """score with the lowest 11 bits of its float64 pattern set to low."""
+    bits = np.array(score, dtype=np.float64).view(np.int64)
+    return float(((bits & ~np.int64(2047)) | np.int64(low)).view(np.float64))
+
+
+class TestRankBlock:
+    """The packed-key sort on score rows that rank_candidates cannot be fed
+    on every platform (OpenBLAS's gemv returns no -0.0, and x86 makes
+    inf * 0 a negative NaN): each row is ordered as rank_scores orders it
+    or flagged for the stable re-sort."""
+
+    def rows(self):
+        rng = np.random.default_rng(71)
+        rows = rng.uniform(-1.0, 1.0, size=(7, 300))
+        rows[1, [40, 9]] = -0.0, 0.0
+        rows[2, [3, 250]] = -0.0, 0.0
+        rows[3, 17] = np.nan
+        rows[4, 17] = -np.nan
+        rows[5, [8, 80]] = np.inf, -np.inf
+        rows[6, 30] = with_low_bits(rows[6, 30], 5)
+        rows[6, 31] = np.nextafter(rows[6, 30], np.inf)
+        return rows
+
+    def test_each_row_is_exact_or_flagged(self):
+        rows = self.rows()
+        out = np.empty(rows.shape, dtype=np.uint16)
+        inexact = rt._rank_block(rows.copy(), out)
+        assert inexact.tolist() == [False, True, True, True, True, False, True]
+        for row, flagged, scores in zip(out, inexact, rows):
+            assert flagged or row.tolist() == rt.rank_scores(scores)
+
+    def test_a_full_block_of_distinct_scores_needs_no_re_sort(self):
+        rows = np.random.default_rng(73).uniform(-1.0, 1.0, size=(8, 2049))
+        out = np.empty(rows.shape, dtype=np.uint16)
+        assert not rt._rank_block(rows.copy(), out).any()
+        assert [row.tolist() for row in out] == [rt.rank_scores(scores) for scores in rows]
 
 
 class TestRankCandidatesAtEvalScale:
     """rank_candidates against the rank_scores oracle at eval-sized pools.
 
-    The default sort is not stable at these sizes, so a row with tied or NaN
-    scores must take the stable re-sort to match.
+    The packed-key sort drops the low bits of each score, so a row with
+    tied or NaN scores, or with scores that differ only in those bits,
+    must take the stable re-sort to match.
     """
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(200, 2048), st.integers(0, 2**32 - 1))
     def test_grid_scores_tie(self, m, seed):
-        scores = np.random.default_rng(seed).integers(-10, 11, size=m) / 10
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(-10, 11, size=m) / 10
         assert len(np.unique(scores)) < m
-        assert_matches_oracle(SCORING_QUERY, scored_candidates(scores))
+        assert_matches_oracle(scoring_block(rng, 11), scored_candidates(scores))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(200, 2048), st.integers(0, 2**32 - 1))
     def test_continuous_scores_take_the_fast_path(self, m, seed):
         rng = np.random.default_rng(seed)
         candidates = unit_batch(rng, m, 8, "c")
-        q = rng.normal(size=8)
-        assert len(np.unique(candidates.values @ q)) == m
-        assert_matches_oracle(q, candidates)
+        queries = rng.normal(size=(9, 8))
+        for q in queries:
+            assert len(np.unique(candidates.values @ q)) == m
+        assert_matches_oracle(queries, candidates)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(200, 2048), st.integers(0, 2**32 - 1))
@@ -134,20 +213,54 @@ class TestRankCandidatesAtEvalScale:
         scores = rng.uniform(-1.0, 1.0, size=m)
         i, j = rng.choice(m, size=2, replace=False)
         scores[i], scores[j] = -0.0, 0.0
-        assert_matches_oracle(SCORING_QUERY, scored_candidates(scores))
+        assert_matches_oracle(scoring_block(rng, 3), scored_candidates(scores))
         assert_matches_oracle(SCORING_QUERY, scored_candidates(-0.0 * np.ones(m)))
 
     @pytest.mark.parametrize("q", [[np.nan, 0.0], [np.inf, 0.0], [-np.inf, 1.0]])
     @pytest.mark.parametrize("m", [200, 2048])
     def test_non_finite_query(self, q, m):
         # A NaN query scores NaN everywhere; an infinite one scores +-inf,
-        # and NaN where it meets a zero coordinate.
+        # and NaN where it meets a zero coordinate. Finite rows share its block.
         rng = np.random.default_rng(m)
         rows = rng.normal(size=(m, 2))
         rows[::7, 0] = 0.0
         candidates = batch_from_rows(rows, "c")
+        queries = unit_rows(rng, 10, 2)
+        queries[3] = q
         with np.errstate(invalid="ignore"):
-            assert_matches_oracle(np.array(q), candidates)
+            assert_matches_oracle(queries, candidates)
+
+    @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 2048, 2049])
+    def test_pool_sizes_around_index_widths(self, m):
+        rng = np.random.default_rng(m)
+        candidates = unit_batch(rng, m, 6, "c")
+        assert_matches_oracle(unit_rows(rng, 13, 6), candidates)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+    def test_query_counts_around_the_block_size(self, n):
+        rng = np.random.default_rng(n)
+        scores = rng.integers(-10, 11, size=300) / 10
+        assert_matches_oracle(scoring_block(rng, n), scored_candidates(scores))
+        assert_matches_oracle(unit_rows(rng, n, 2), scored_candidates(rng.uniform(-1.0, 1.0, size=300)))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("m", [300, 2048])
+    def test_scores_apart_only_in_the_dropped_bits_sort_exactly(self, sign, m):
+        # Each planted pair differs by one ulp, inside the low bits the packed
+        # key gives to the index, and the higher score sits at the higher
+        # index, so only the exact re-sort puts it first.
+        rng = np.random.default_rng(m)
+        scores = rng.uniform(0.1, 0.9, size=m) * sign
+        for i in range(0, m - 1, m // 5):
+            scores[i] = with_low_bits(scores[i], 5)
+            scores[i + 1] = np.nextafter(scores[i], np.inf)
+        assert len(np.unique(scores)) == m
+        candidates = scored_candidates(scores)
+        block = np.vstack([SCORING_QUERY, unit_rows(rng, 4, 2), SCORING_QUERY])
+        assert_matches_oracle(block, candidates)
+        order = rank_one(SCORING_QUERY, candidates).tolist()
+        for i in range(0, m - 1, m // 5):
+            assert order.index(i + 1) == order.index(i) - 1
 
 
 def hit_matrix(orders, positives):
@@ -333,18 +446,13 @@ def legacy_json(report, encoder, corpus):
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def narrowest_index_dtype(m):
-    """The smallest unsigned integer type whose range holds index m - 1."""
-    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if m - 1 <= np.iinfo(t).max)
-
-
 def assert_streams_legacy_bytes(encoder, corpus, ks):
     report = rt.evaluate_checkpoint(encoder, corpus, ks=ks)
     assert report.order.dtype == narrowest_index_dtype(len(corpus.items))
     expected = legacy_json(report, encoder, corpus)
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     report.write_json(buffer)
-    assert buffer.getvalue() == expected
+    assert buffer.getvalue().decode() == expected
     assert report.to_json() == expected
     return report
 
