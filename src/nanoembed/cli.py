@@ -96,11 +96,12 @@ def _section(raw: dict, name: str) -> dict:
 
 
 def _build(section: str, factory, kwargs: dict):
-    """factory(**kwargs) with JSON lists as tuples; its errors name the section."""
+    """factory(**kwargs) with JSON lists as tuples; its errors, an allocation
+    it cannot make among them, name the section."""
     kwargs = {name: tuple(v) if isinstance(v, list) else v for name, v in kwargs.items()}
     try:
         return factory(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MemoryError) as exc:
         raise ValueError(f"bad {section!r} config: {exc}") from None
 
 
@@ -426,15 +427,47 @@ def _keep_heap() -> None:
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
 
 
+def _numpy_openblas() -> ctypes.CDLL | None:
+    """The scipy-openblas library bundled with numpy, or None.
+
+    numpy's wheels ship it in numpy.libs beside the package, and numpy has
+    loaded it by now, so opening it again returns the same library.
+    """
+    for path in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*scipy_openblas*")):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            continue
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Run OpenBLAS on one thread for the whole process.
+
+    At this program's shapes a second BLAS thread gives no wall time back
+    but costs CPU time and memory. Every matmul keeps its bytes at any
+    thread count. Without numpy's scipy-openblas or its setter this does
+    nothing.
+    """
+    set_threads = getattr(_numpy_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if set_threads is None:
+        return
+    set_threads.argtypes = (ctypes.c_int,)
+    set_threads.restype = None
+    set_threads(1)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; 0 on success, 2 with one error: line on bad input.
 
     The output directory is made by the first artifact write, so an input
     that fails to load leaves none behind. main first sets glibc's malloc
-    thresholds for the whole process (_keep_heap); run in-process, as
-    under pytest, that setting outlives the call.
+    thresholds (_keep_heap) and OpenBLAS's thread count (_one_blas_thread)
+    for the whole process; run in-process, as under pytest, both settings
+    outlive the call.
     """
     _keep_heap()
+    _one_blas_thread()
     args = build_parser().parse_args(argv)
     started = time.time()
     try:

@@ -120,10 +120,12 @@ def stage2_train(
     encodes queries and candidates with recording and backpropagates once;
     with it, the step runs through the two-pass gradient cache over
     sub-batches of that many rows and mines once, on the pass-1 embeddings.
-    Random-negative draws, the only use of seed, come from one generator in
-    the same order on both paths, so they walk the same trajectory up to
-    float round-off.  A mining error's "query i" is pair i.  The trace
-    records the objective's selection rates and the pre-clip gradient norm.
+    Either way a step's graph is released before the next step encodes, so
+    one step's graph is alive at a time.  Random-negative draws, the only
+    use of seed, come from one generator in the same order on both paths,
+    so they walk the same trajectory up to float round-off.  A mining
+    error's "query i" is pair i.  The trace records the objective's
+    selection rates and the pre-clip gradient norm.
     """
     ng.check_mode(negative_mode)
     if steps < 0:
@@ -149,6 +151,7 @@ def stage2_train(
                 optim.zero_grads(params)
                 ad.backward(batch_loss)
                 loss = batch_loss.item()
+                del batch_loss  # the graph's one root: free it before the next step encodes
             else:
                 _, loss, _ = cached_step(encoder, rows, objective, plan)
             grad_norm = optim.clip_global_norm(params, settings.clip_norm)

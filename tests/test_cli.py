@@ -1117,12 +1117,15 @@ class TestBadInputLeavesNoOutput:
 
     # Under the size rule, but the first weight array alone is 8 x 2**54
     # float64, 1 EiB: more than any x86-64 address space, so the allocation
-    # fails at once under every overcommit setting.
+    # fails at once under every overcommit setting. The teacher, which
+    # inherits the encoder's sizes, is the first section to allocate them.
     def test_unallocatable_size_under_the_rule(self, tmp_path, capsys):
         encoder = {"input_dim": 8, "hidden_dim": 2**54, "embed_dim": 8, "depth": 1}
         config = write_config(tmp_path, encoder=encoder)
         err = self.assert_clean_failure(capsys, tmp_path / "out", "stage1", "--config", config)
-        assert err.startswith("error: Unable to allocate 1.00 EiB for an array with shape (8, 18014398509481984)")
+        assert err.startswith(
+            "error: bad 'teacher' config: Unable to allocate 1.00 EiB for an array with shape (8, 18014398509481984)"
+        )
 
     @pytest.mark.parametrize("command", ["eval", "stage2"])
     def test_missing_checkpoint(self, tmp_path, capsys, command):

@@ -349,3 +349,22 @@ class TestStage2Train:
             )
             terminal[mode] = np.mean([r.loss for r in trace][-50:])
         assert terminal["hard"] > terminal["easy"]
+
+
+class TestStage2Memory:
+    # tests/test_heap.py's shape: 384 queries x 480 candidates with planted near-duplicates.
+    SPEC = cp.CorpusSpec(seed=5, n_groups=24, items_per_group=16, input_dim=16, noise_scale=0.15,
+                         centroid_scale=1.2, pair_scale=0.5, view_mix=0.0, false_negative_rate=0.25)
+
+    def test_naive_steps_hold_one_graph_at_a_time(self):
+        corpus = cp.generate(self.SPEC)
+        peaks = []
+        for steps in (1, 3):
+            encoder = enc.Encoder(enc.EncoderConfig(input_dim=16, hidden_dim=48, embed_dim=16, seed=5))
+            ad.reset_peak_live_elements()
+            live = ad.live_elements()
+            nce.stage2_train(encoder, corpus, ng.MinerConfig(beta=0.02, k=8, tau=1.0),
+                             optim.OptimizerSettings(kind="adam", learning_rate=3e-4), steps)
+            peaks.append(ad.peak_live_elements() - live)
+        assert peaks[0] > 384 * 480
+        assert peaks[1] == peaks[0]
