@@ -478,10 +478,10 @@ def finite_difference_check(
     for p in params:
         p.zero_grad()
     backward(loss_fn())
-    analytic = {p.name: (np.zeros_like(p.values) if p.grad is None else p.grad.copy()) for p in params}
+    analytic = [np.zeros_like(p.values) if p.grad is None else p.grad.copy() for p in params]
 
     errors = []
-    for p in params:
+    for p, ga in zip(params, analytic):
         values = p.tensor.values
         fd = np.zeros_like(values)
         flat = values.reshape(-1)
@@ -494,7 +494,6 @@ def finite_difference_check(
             minus = loss_fn().item()
             flat[i] = original
             fd_flat[i] = (plus - minus) / (2.0 * _FD_STEP)
-        ga = analytic[p.name]
         rel = np.abs(ga - fd) / (np.abs(ga) + np.abs(fd) + 1e-12)
         errors.append(float(rel.max()) if rel.size else 0.0)
     return GradCheckReport(max_rel_error=max(errors, default=0.0), tolerance=float(tolerance))

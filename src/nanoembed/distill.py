@@ -80,7 +80,7 @@ def stage1_train(
     rows = ItemRows.of(pool, encoder.config.input_dim)
     rng = np.random.default_rng(seed)
     params = encoder.parameters()
-    optimizer = optim.make_optimizer(settings)
+    optimizer = optim.make_optimizer(settings, params)
     trace: list[StepMetrics] = []
     for step in range(steps):
         batch = rows[rng.choice(len(pool), size=batch_size, replace=False)]
@@ -91,7 +91,7 @@ def stage1_train(
             optim.zero_grads(params)
             ad.backward(loss)
             grad_norm = optim.clip_global_norm(params, settings.clip_norm)
-            optimizer.step(params)
+            optimizer.step()
             optim.check_finite(params)
             trace.append(StepMetrics(step=step, loss=loss.item(), grad_norm=grad_norm))
         except ValueError as exc:

@@ -139,7 +139,7 @@ def stage2_train(
     rng = np.random.default_rng(seed)
     objective = ContrastiveObjective(n, positives, config, mode=negative_mode, seed=rng)
     params = encoder.parameters()
-    optimizer = optim.make_optimizer(settings)
+    optimizer = optim.make_optimizer(settings, params)
     plan = None if sub_batch is None else CachePlan(effective_batch=n + m, sub_batch=min(sub_batch, n + m))
     trace: list[StepMetrics] = []
     for step in range(steps):
@@ -155,7 +155,7 @@ def stage2_train(
             else:
                 _, loss, _ = cached_step(encoder, rows, objective, plan)
             grad_norm = optim.clip_global_norm(params, settings.clip_norm)
-            optimizer.step(params)
+            optimizer.step()
             optim.check_finite(params)
             trace.append(StepMetrics(step, loss, grad_norm, *objective.selection_rates))
         except ValueError as exc:

@@ -32,50 +32,43 @@ class OptimizerSettings:
             raise ValueError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
 
 
-def _buffers(store: dict[str, list[np.ndarray]], p: Parameter, count: int) -> list[np.ndarray]:
-    """The count per-parameter arrays an optimizer keeps in store, zeroed on first use."""
-    if p.name not in store:
-        store[p.name] = [np.zeros_like(p.grad) for _ in range(count)]
-    return store[p.name]
-
-
 class Sgd:
-    """Plain gradient descent."""
+    """Plain gradient descent over the parameters it is built for."""
 
-    def __init__(self, learning_rate: float):
+    def __init__(self, learning_rate: float, params: Sequence[Parameter]):
         self.learning_rate = float(learning_rate)
-        self._scaled: dict[str, list[np.ndarray]] = {}
+        self._params = list(params)
+        self._scaled = [np.zeros_like(p.values) for p in self._params]
 
-    def step(self, params: Sequence[Parameter]) -> None:
+    def step(self) -> None:
         with np.errstate(over="ignore", invalid="ignore"):  # see check_finite
-            for p in params:
+            for p, scaled in zip(self._params, self._scaled):
                 if p.grad is not None:
-                    (scaled,) = _buffers(self._scaled, p, 1)
                     p.tensor.values -= np.multiply(self.learning_rate, p.grad, out=scaled)
 
 
 class Adam:
-    """Adam with bias correction; state is keyed by parameter name.
+    """Adam with bias correction over the parameters it is built for.
 
-    Each parameter keeps its two moments and two work buffers, and every
-    step writes into them with out=, in the order of
-    lr * m_hat / (sqrt(v_hat) + eps): the same values, bit for bit, without
-    a temporary per operation.
+    Each parameter keeps its two moments and two work buffers, allocated
+    once and held by position, and every step writes into them with out=,
+    in the order of lr * m_hat / (sqrt(v_hat) + eps): the same values, bit
+    for bit, without a temporary per operation.
     """
 
-    def __init__(self, learning_rate: float):
+    def __init__(self, learning_rate: float, params: Sequence[Parameter]):
         self.learning_rate = float(learning_rate)
-        self._state: dict[str, list[np.ndarray]] = {}
+        self._params = list(params)
+        self._state = [[np.zeros_like(p.values) for _ in range(4)] for p in self._params]
         self._t = 0
 
-    def step(self, params: Sequence[Parameter]) -> None:
+    def step(self) -> None:
         self._t += 1
         with np.errstate(over="ignore", invalid="ignore"):  # see check_finite
-            for p in params:
+            for p, (m, v, a, b) in zip(self._params, self._state):
                 if p.grad is None:
                     continue
                 g = p.grad
-                m, v, a, b = _buffers(self._state, p, 4)
                 m *= _BETA1
                 m += np.multiply(1.0 - _BETA1, g, out=a)
                 v *= _BETA2
@@ -89,10 +82,10 @@ class Adam:
                 p.tensor.values -= np.divide(a, b, out=a)
 
 
-def make_optimizer(settings: OptimizerSettings):
+def make_optimizer(settings: OptimizerSettings, params: Sequence[Parameter]):
     if settings.kind == "adam":
-        return Adam(settings.learning_rate)
-    return Sgd(settings.learning_rate)
+        return Adam(settings.learning_rate, params)
+    return Sgd(settings.learning_rate, params)
 
 
 def check_finite(params: Sequence[Parameter]) -> None:
@@ -108,26 +101,20 @@ def zero_grads(params: Sequence[Parameter]) -> None:
         p.zero_grad()
 
 
-def global_grad_norm(params: Sequence[Parameter]) -> float:
-    """L2 norm over all parameter gradients; absent gradients count as zero.
+def clip_global_norm(params: Sequence[Parameter], max_norm: float) -> float:
+    """Scale gradients so their global norm is at most max_norm; absent
+    gradients count as zero.
 
-    A gradient too large to square reads as an inf norm, without a warning,
-    so the caller's finiteness check is the one report of the divergence.
+    Returns the norm measured before any scaling. A gradient too large to
+    square reads as an inf norm, without a warning, so the caller's
+    finiteness check is the one report of the divergence.
     """
     total = 0.0
     with np.errstate(over="ignore"):
         for p in params:
             if p.grad is not None:
                 total += float((p.grad * p.grad).sum())
-    return float(np.sqrt(total))
-
-
-def clip_global_norm(params: Sequence[Parameter], max_norm: float) -> float:
-    """Scale gradients so their global norm is at most max_norm.
-
-    Returns the norm measured before any scaling.
-    """
-    norm = global_grad_norm(params)
+    norm = float(np.sqrt(total))
     if norm > max_norm:
         factor = max_norm / norm
         for p in params:

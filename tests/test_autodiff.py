@@ -437,6 +437,19 @@ class TestFiniteDifferenceCheck:
         report = ad.finite_difference_check(loss_fn, [p], tolerance=1e-4)
         assert not report.passed
 
+    def test_parameters_sharing_a_name_keep_their_own_gradients(self):
+        # A name is a label: each parameter's analytic gradient is its own.
+        rng = np.random.default_rng(3)
+        a = ad.Parameter("w", rng.normal(size=(2, 3)))
+        b = ad.Parameter("w", rng.normal(size=(2, 3)))
+
+        def loss_fn():
+            return ad.add(ad.total_sum(ad.mul(a.tensor, a.tensor)), ad.total_sum(ad.scale(b.tensor, 5.0)))
+
+        report = ad.finite_difference_check(loss_fn, [a, b], tolerance=1e-8)
+        assert report.passed
+        assert report.max_rel_error < 1e-9
+
     def test_nondeterministic_loss_rejected(self):
         p = ad.Parameter("w", [[1.0]])
         counter = {"n": 0}
