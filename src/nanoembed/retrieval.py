@@ -2,9 +2,9 @@
 similarity and aggregate Precision@k / Recall@k over a hit matrix.
 
 Scoring is exact (no approximate index); ties break by ascending candidate
-index, matching the negative miner's ordering.  A report keeps its rankings
-as one query-by-candidate index matrix and writes its JSON one query at a
-time.
+index, matching the negative miner's ordering.  The metrics need only each
+query's positive's rank; a report keeps the query rows and ranks them a
+block at a time while it writes its JSON.
 """
 
 from __future__ import annotations
@@ -117,21 +117,22 @@ def _nested_json(payload) -> str:
 
 @dataclass(frozen=True, eq=False)
 class RetrievalReport:
-    """Per-query rankings plus aggregated cutoff metrics.
+    """Query rows in id order, their candidates, and aggregated cutoff metrics.
 
-    Row i of order holds the candidate indices ranked for query_ids[i], in
-    the narrowest unsigned dtype that holds the largest index.
+    Row i of rows embeds query_ids[i]; write_json ranks the rows against
+    candidates a block at a time.
     """
 
     query_ids: list[str]
-    candidate_ids: list[str]
-    order: np.ndarray
+    rows: np.ndarray
+    candidates: EmbeddingBatch
     precision_at: dict[int, float]
     recall_at: dict[int, float]
 
     def write_json(self, handle: IO[bytes]) -> None:
         """Write json.dumps of {precision_at, recall_at, ranked} with
-        sort_keys=True and indent=2, ASCII-encoded, one query at a time."""
+        sort_keys=True and indent=2, ASCII-encoded, one block of queries at
+        a time."""
         handle.write(b'{\n  "precision_at": ')
         handle.write(_nested_json({str(k): v for k, v in self.precision_at.items()}).encode())
         handle.write(b',\n  "ranked": {')
@@ -141,16 +142,18 @@ class RetrievalReport:
         # ASCII) whose bytes go out as they lie; rows of several lengths
         # join as bytes, which measured faster than deleting a byte table's
         # NUL padding.
-        quoted = [f",\n      {json.dumps(cid)}".encode() for cid in self.candidate_ids]
+        quoted = [f",\n      {json.dumps(cid)}".encode() for cid in self.candidates.ids]
         fixed = len(set(map(len, quoted))) == 1
         table = np.array(quoted, dtype=np.bytes_ if fixed else object)
         separator = b"\n    "
-        for i in sorted(range(len(self.query_ids)), key=self.query_ids.__getitem__):
-            ranked = np.take(table, self.order[i])
-            handle.write(b"%s%s: [" % (separator, json.dumps(self.query_ids[i]).encode()))
-            handle.write(memoryview(ranked.view(np.uint8))[1:] if fixed else b"".join(ranked.tolist())[1:])
-            handle.write(b"\n    ]")
-            separator = b",\n    "
+        for start in range(0, len(self.query_ids), _BLOCK):
+            order = rank_candidates(self.rows[start : start + _BLOCK], self.candidates)
+            for qid, indices in zip(self.query_ids[start : start + _BLOCK], order):
+                ranked = np.take(table, indices)
+                handle.write(b"%s%s: [" % (separator, json.dumps(qid).encode()))
+                handle.write(memoryview(ranked.view(np.uint8))[1:] if fixed else b"".join(ranked.tolist())[1:])
+                handle.write(b"\n    ]")
+                separator = b",\n    "
         handle.write(b"\n  }" if self.query_ids else b"}")
         handle.write(b',\n  "recall_at": ')
         handle.write(_nested_json({str(k): v for k, v in self.recall_at.items()}).encode())
@@ -162,13 +165,35 @@ class RetrievalReport:
         return buffer.getvalue().decode()
 
 
+def _positive_ranks(queries: np.ndarray, candidates: EmbeddingBatch, positives: Sequence[int]) -> np.ndarray:
+    """The position of each query's positive in its rank_candidates row.
+
+    Each row is scored by the same matrix-vector product rank_candidates
+    runs; the positive follows every higher score and every equal score at
+    a lower index.  Unit rows score no NaN, the one case this count would
+    place differently from the ranking.
+    """
+    ranks = np.empty(len(queries), dtype=np.intp)
+    row = np.empty(len(candidates))
+    for i, (q, p) in enumerate(zip(queries, positives)):
+        np.matmul(candidates.values, q, out=row)
+        ranks[i] = np.count_nonzero(row > row[p]) + np.count_nonzero(row[:p] == row[p])
+    return ranks
+
+
 def evaluate_checkpoint(encoder: Encoder, corpus: Corpus, ks: Sequence[int] = (1, 5)) -> RetrievalReport:
-    """Rank every corpus query against all items; each query's labeled positive is its one relevant item."""
+    """Score every corpus query against all items; each query's labeled positive is its one relevant item."""
     queries = embed_items(encoder, corpus.queries())
     candidates = embed_items(encoder, corpus.items)
-    order = rank_candidates(queries.values, candidates)
-    # The metrics read no further down a ranking than the largest cutoff.
-    hits = order[:, : max(ks, default=0)] == np.array(corpus.positive_indices())[:, None]
+    # The positives' ranks are counted on the rows write_json ranks, in id
+    # order; the metrics average them in pair order.
+    by_id = sorted(range(len(queries)), key=queries.ids.__getitem__)
+    rows = queries.values[by_id]
+    ranks = np.empty(len(queries), dtype=np.intp)
+    ranks[by_id] = _positive_ranks(rows, candidates, np.array(corpus.positive_indices())[by_id])
+    # hits[i, r]: rank r of query i is its positive, read no further down a
+    # ranking than the largest cutoff.
+    hits = np.arange(min(max(ks, default=0), len(candidates))) == ranks[:, None]
     precision = {int(k): precision_at_k(hits, k) for k in ks}
     recall = {int(k): recall_at_k(hits, k) for k in ks}
-    return RetrievalReport(queries.ids, candidates.ids, order, precision, recall)
+    return RetrievalReport([queries.ids[i] for i in by_id], rows, candidates, precision, recall)

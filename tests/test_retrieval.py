@@ -322,8 +322,8 @@ def set_intersection_metrics(report, corpus, k):
     """Precision and recall@k as per-query set intersections of ranked ids."""
     relevance = {pair.query.id: {pair.positive_id} for pair in corpus.pairs}
     ranked = json.loads(report.to_json())["ranked"]
-    # In query order, as the report averages them.
-    found = {q: len(set(ranked[q][:k]) & relevance[q]) for q in report.query_ids}
+    # In pair order, as the report averages them.
+    found = {pair.query.id: len(set(ranked[pair.query.id][:k]) & relevance[pair.query.id]) for pair in corpus.pairs}
     precision = float(np.mean([n / k for n in found.values()]))
     recall = float(np.mean([n / len(relevance[q]) for q, n in found.items()]))
     return precision, recall
@@ -405,8 +405,126 @@ class TestEvaluateCheckpoint:
         queries = enc.embed_items(encoder, [pair.query for pair in pairs])
         candidates = enc.embed_items(encoder, items)
         assert len(np.unique(candidates.values, axis=0)) == 6
-        for row, q in zip(report.order, queries.values):
-            assert row.tolist() == rt.rank_scores(candidates.values @ q)
+        ranked = json.loads(report.to_json())["ranked"]
+        for qid, q in zip(queries.ids, queries.values):
+            assert ranked[qid] == [candidates.ids[j] for j in rt.rank_scores(candidates.values @ q)]
+
+
+def written_positions(report, positive_ids):
+    """Where each query's positive sits in the list report.json writes for it."""
+    ranked = json.loads(report.to_json())["ranked"]
+    return [ranked[qid].index(pid) for qid, pid in zip(report.query_ids, positive_ids)]
+
+
+class TestPositiveRank:
+    """The rank behind a query's hits is its positive's position in the
+    written list: every higher score first, then equal scores by index.
+
+    _positive_ranks counts with comparisons, which a NaN score would fail
+    where the ranking places it last. evaluate_checkpoint cannot reach that
+    case: EmbeddingBatch refuses any row whose norm is not 1, NaN rows
+    included, so unit queries meet unit candidates in finite scores.
+    """
+
+    def assert_rank_is_written_position(self, rows, candidates, positives):
+        rows = np.asarray(rows, dtype=np.float64)
+        ranks = rt._positive_ranks(rows, candidates, positives).tolist()
+        ids = [f"q{i:02d}" for i in range(len(rows))]
+        report = rt.RetrievalReport(ids, rows, candidates, {}, {})
+        assert ranks == written_positions(report, [candidates.ids[p] for p in positives])
+        assert ranks == [rt.rank_scores(candidates.values @ q).index(p) for q, p in zip(rows, positives)]
+        return ranks
+
+    def test_positive_after_lower_indexed_duplicates(self):
+        rows = np.array([[0.6, 0.8], [1.0, 0.0], [0.6, 0.8], [0.0, 1.0], [0.6, 0.8]])
+        candidates = batch_from_rows(rows, "c")
+        ranks = self.assert_rank_is_written_position([[1.0, 0.0]] * 3, candidates, [0, 2, 4])
+        assert ranks == [1, 2, 3]
+
+    def test_signed_zero_scores_of_orthogonal_rows_tie(self):
+        # Summed in order, (-0, 1) scores -0.0 against SCORING_QUERY and
+        # (0, -1) scores 0.0; OpenBLAS's gemv starts from +0.0 and returns
+        # both as 0.0. Either way the pair ties, broken by index.
+        rows = np.array([[-0.0, 1.0], [-0.6, 0.8], [0.0, -1.0], [0.6, -0.8], [-0.0, 1.0]])
+        candidates = batch_from_rows(rows, "c")
+        scores = candidates.values @ SCORING_QUERY
+        assert scores[0] == scores[2] == scores[4] == 0.0
+        ranks = self.assert_rank_is_written_position([SCORING_QUERY] * 3, candidates, [0, 2, 4])
+        assert ranks == [1, 2, 3]
+
+    @pytest.mark.parametrize("m", [300, 2048])
+    def test_rows_that_take_the_stable_re_sort(self, m):
+        # Grid scores tie, and a planted pair differs only in the bits the
+        # packed key gives to the index, so _rank_block flags both rows.
+        rng = np.random.default_rng(m)
+        grid = scored_candidates(rng.integers(-10, 11, size=m) / 10)
+        scores = rng.uniform(0.1, 0.9, size=m)
+        scores[m // 2] = with_low_bits(scores[m // 2], 5)
+        scores[m // 2 + 1] = np.nextafter(scores[m // 2], np.inf)
+        planted = scored_candidates(scores)
+        for candidates, positives in ((grid, [0, m // 3, m - 1]), (planted, [m // 2, m // 2 + 1, 0])):
+            block = candidates.values @ SCORING_QUERY
+            assert rt._rank_block(block[None, :].copy(), np.empty((1, m), dtype=np.uint16)).all()
+            self.assert_rank_is_written_position([SCORING_QUERY] * 3, candidates, positives)
+
+    def test_cutoffs_above_and_below_each_position(self):
+        # 240 candidates from 6 feature rows; every cutoff from 1 to m.
+        rng = np.random.default_rng(12)
+        templates = rng.normal(size=(6, 1, 5))
+        items = [item(f"i{j:03d}", templates[j % 6]) for j in range(240)]
+        pairs = [cp.PairRecord(item(f"q{i}", rng.normal(size=(1, 5))), f"i{(37 * i) % 240:03d}") for i in range(12)]
+        corpus = cp.Corpus(items, pairs)
+        m = len(items)
+        report = rt.evaluate_checkpoint(enc.Encoder(enc.EncoderConfig(5, 8, 4, seed=3)), corpus, ks=range(1, m + 1))
+        ranked = json.loads(report.to_json())["ranked"]
+        positions = [ranked[pair.query.id].index(pair.positive_id) for pair in corpus.pairs]
+        assert 0 < min(positions) and max(positions) < m - 1
+        for k in range(1, m + 1):
+            found = [int(p < k) for p in positions]
+            assert report.recall_at[k] == float(np.mean(found))
+            assert report.precision_at[k] == float(np.mean([f / k for f in found]))
+
+    def test_non_unit_rows_are_refused_before_scoring(self):
+        with pytest.raises(ValueError, match="row 1 has norm nan"):
+            enc.EmbeddingBatch(["a", "b"], ad.constant(np.array([[1.0, 0.0], [np.nan, 0.0]])))
+
+
+class CountingSink:
+    """A binary handle that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, data):
+        self.size += memoryview(data).nbytes
+
+
+class TestEvalMemory:
+    """The eval holds no query x candidate array: evaluate_checkpoint ranks
+    nothing, and write_json ranks one block of queries at a time."""
+
+    def test_peak_stays_under_one_byte_per_query_candidate_pair(self, monkeypatch):
+        import tracemalloc
+
+        corpus = cp.generate(cp.CorpusSpec(seed=5, n_groups=32, items_per_group=32, input_dim=8))
+        n, m = len(corpus.pairs), len(corpus.items)
+        assert n == m == 1024
+        encoder = enc.Encoder(enc.EncoderConfig(8, 16, 8, seed=5))
+        calls = []
+        rank = rt.rank_candidates
+        monkeypatch.setattr(rt, "rank_candidates", lambda queries, candidates: calls.append(len(queries)) or rank(queries, candidates))
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            report = rt.evaluate_checkpoint(encoder, corpus, ks=(1, 5))
+            assert calls == []
+            report.write_json(sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == -(-n // rt._BLOCK) and sum(calls) == n
+        assert sink.size == len(report.to_json())
+        assert peak < n * m, f"peak {peak} B"
 
 
 def test_plain_item_named_like_a_fused_half_is_kept_apart():
@@ -429,27 +547,34 @@ def item(item_id, features, group=None):
     return cp.ItemRecord(item_id, "text", np.asarray(features, dtype=np.float64), group)
 
 
-def legacy_json(report, encoder, corpus):
-    """The report as json.dumps wrote it whole, rankings from rank_scores."""
+def legacy_json(encoder, corpus, ks):
+    """The report as json.dumps wrote it whole: rankings from rank_scores,
+    and the metrics counted on those lists in pair order."""
     queries = enc.embed_items(encoder, [pair.query for pair in corpus.pairs])
     candidates = enc.embed_items(encoder, corpus.items)
     ranked = {
         qid: [candidates.ids[j] for j in rt.rank_scores(candidates.values @ row)]
         for qid, row in zip(queries.ids, queries.values)
     }
-    assert {qid: [report.candidate_ids[j] for j in row] for qid, row in zip(report.query_ids, report.order)} == ranked
+    found = {k: [int(pair.positive_id in ranked[pair.query.id][:k]) for pair in corpus.pairs] for k in ks}
     payload = {
-        "precision_at": {str(k): v for k, v in sorted(report.precision_at.items())},
-        "recall_at": {str(k): v for k, v in sorted(report.recall_at.items())},
+        "precision_at": {str(k): float(np.mean([f / k for f in found[k]])) for k in ks},
+        "recall_at": {str(k): float(np.mean(found[k])) for k in ks},
         "ranked": ranked,
     }
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def corpus_order(encoder, corpus):
+    """rank_candidates of the corpus's queries against its items."""
+    queries = enc.embed_items(encoder, [pair.query for pair in corpus.pairs])
+    return rt.rank_candidates(queries.values, enc.embed_items(encoder, corpus.items))
+
+
 def assert_streams_legacy_bytes(encoder, corpus, ks):
     report = rt.evaluate_checkpoint(encoder, corpus, ks=ks)
-    assert report.order.dtype == narrowest_index_dtype(len(corpus.items))
-    expected = legacy_json(report, encoder, corpus)
+    assert corpus_order(encoder, corpus).dtype == narrowest_index_dtype(len(corpus.items))
+    expected = legacy_json(encoder, corpus, ks)
     buffer = io.BytesIO()
     report.write_json(buffer)
     assert buffer.getvalue().decode() == expected
@@ -515,5 +640,6 @@ class TestReportJson:
         pairs = [cp.PairRecord(item(f"q{i}", rng.normal(size=(1, 4))), items[(i * 97) % m].id) for i in range(6)]
         corpus = cp.Corpus(items, pairs)
         encoder = enc.Encoder(enc.EncoderConfig(4, 8, 4, seed=7))
-        # legacy_json also checks every row against rank_scores of its scores.
-        assert assert_streams_legacy_bytes(encoder, corpus, (1, 5)).order.dtype == dtype
+        # legacy_json ranks every query's list with rank_scores of its scores.
+        assert_streams_legacy_bytes(encoder, corpus, (1, 5))
+        assert corpus_order(encoder, corpus).dtype == dtype
