@@ -2,12 +2,15 @@
 
 Rankings are checked against a brute-force sort with an explicit
 (-similarity, index) key and against the rank_scores oracle, the aggregate
-metrics against plain counting loops, and the streamed report against
-json.dumps of the same payload.
+metrics against plain counting loops, the streamed report against
+json.dumps of the same payload, each positive's counted rank against its
+position in the written list, and the eval's peak memory against one byte
+per query-candidate pair.
 """
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,12 +413,6 @@ class TestEvaluateCheckpoint:
             assert ranked[qid] == [candidates.ids[j] for j in rt.rank_scores(candidates.values @ q)]
 
 
-def written_positions(report, positive_ids):
-    """Where each query's positive sits in the list report.json writes for it."""
-    ranked = json.loads(report.to_json())["ranked"]
-    return [ranked[qid].index(pid) for qid, pid in zip(report.query_ids, positive_ids)]
-
-
 class TestPositiveRank:
     """The rank behind a query's hits is its positive's position in the
     written list: every higher score first, then equal scores by index.
@@ -423,15 +420,16 @@ class TestPositiveRank:
     _positive_ranks counts with comparisons, which a NaN score would fail
     where the ranking places it last. evaluate_checkpoint cannot reach that
     case: EmbeddingBatch refuses any row whose norm is not 1, NaN rows
-    included, so unit queries meet unit candidates in finite scores.
+    included (tests/test_encoder.py, test_rejects_nan_row), so unit queries
+    meet unit candidates in finite scores.
     """
 
     def assert_rank_is_written_position(self, rows, candidates, positives):
         rows = np.asarray(rows, dtype=np.float64)
         ranks = rt._positive_ranks(rows, candidates, positives).tolist()
         ids = [f"q{i:02d}" for i in range(len(rows))]
-        report = rt.RetrievalReport(ids, rows, candidates, {}, {})
-        assert ranks == written_positions(report, [candidates.ids[p] for p in positives])
+        ranked = json.loads(rt.RetrievalReport(ids, rows, candidates, {}, {}).to_json())["ranked"]
+        assert ranks == [ranked[qid].index(candidates.ids[p]) for qid, p in zip(ids, positives)]
         assert ranks == [rt.rank_scores(candidates.values @ q).index(p) for q, p in zip(rows, positives)]
         return ranks
 
@@ -484,10 +482,6 @@ class TestPositiveRank:
             assert report.recall_at[k] == float(np.mean(found))
             assert report.precision_at[k] == float(np.mean([f / k for f in found]))
 
-    def test_non_unit_rows_are_refused_before_scoring(self):
-        with pytest.raises(ValueError, match="row 1 has norm nan"):
-            enc.EmbeddingBatch(["a", "b"], ad.constant(np.array([[1.0, 0.0], [np.nan, 0.0]])))
-
 
 class CountingSink:
     """A binary handle that keeps only the number of bytes written to it."""
@@ -504,15 +498,18 @@ class TestEvalMemory:
     nothing, and write_json ranks one block of queries at a time."""
 
     def test_peak_stays_under_one_byte_per_query_candidate_pair(self, monkeypatch):
-        import tracemalloc
-
         corpus = cp.generate(cp.CorpusSpec(seed=5, n_groups=32, items_per_group=32, input_dim=8))
         n, m = len(corpus.pairs), len(corpus.items)
         assert n == m == 1024
         encoder = enc.Encoder(enc.EncoderConfig(8, 16, 8, seed=5))
         calls = []
         rank = rt.rank_candidates
-        monkeypatch.setattr(rt, "rank_candidates", lambda queries, candidates: calls.append(len(queries)) or rank(queries, candidates))
+
+        def counted_rank(queries, candidates):
+            calls.append(len(queries))
+            return rank(queries, candidates)
+
+        monkeypatch.setattr(rt, "rank_candidates", counted_rank)
         sink = CountingSink()
         tracemalloc.start()
         try:
