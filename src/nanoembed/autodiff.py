@@ -328,6 +328,16 @@ def row_log_sum_exp(a: Tensor) -> Tensor:
     return _from_op(out_values, (a,), vjp)
 
 
+def index_array(values, name: str) -> np.ndarray:
+    """values as an int64 array; raises ValueError, naming it, unless its
+    dtype is an integer one. A float or bool would otherwise index silently
+    (2.7 picks 2, True picks 1); an empty index of any dtype stays legal."""
+    idx = np.asarray(values)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 def _scatter_add(flat: np.ndarray, g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """np.add.at of g (C order) into np.zeros(shape) at flat indices, with the
     same bits: bincount also adds in index order starting from 0.0."""
@@ -340,7 +350,7 @@ def gather_columns(a: Tensor, cols) -> Tensor:
 
     Duplicate indices are allowed; their adjoints accumulate on backward.
     """
-    idx = np.asarray(cols, dtype=np.int64)
+    idx = index_array(cols, "gather_columns: cols")
     if idx.ndim != 2 or idx.shape[0] != a.shape[0]:
         raise ValueError(f"gather_columns: index shape {idx.shape} does not match {a.shape[0]} rows")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
@@ -359,7 +369,7 @@ def gather_rows(a: Tensor, rows) -> Tensor:
 
     Duplicate indices are allowed; their adjoints accumulate on backward.
     """
-    idx = np.asarray(rows, dtype=np.int64)
+    idx = index_array(rows, "gather_rows: rows")
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError(f"gather_rows: need a nonempty 1-D index list, got shape {idx.shape}")
     if idx.min() < 0 or idx.max() >= a.shape[0]:

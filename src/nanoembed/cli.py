@@ -96,9 +96,8 @@ def _section(raw: dict, name: str) -> dict:
 
 
 def _build(section: str, factory, kwargs: dict):
-    """factory(**kwargs) with JSON lists as tuples; its errors, an allocation
-    it cannot make among them, name the section."""
-    kwargs = {name: tuple(v) if isinstance(v, list) else v for name, v in kwargs.items()}
+    """factory(**kwargs); its errors, an allocation it cannot make among
+    them, name the section."""
     try:
         return factory(**kwargs)
     except (TypeError, ValueError, MemoryError) as exc:
@@ -207,8 +206,7 @@ def load_config(
 
     optimizer_raw = _section(raw, "optimizer")
     steps = optimizer_raw.pop("steps", _DEFAULT_STEPS)
-    if not is_int(steps) or steps < 0:
-        raise ValueError(f"optimizer steps must be a nonnegative integer, got {steps!r}")
+    optim.check_steps(steps, "optimizer steps")
     optimizer = _build("optimizer", optim.OptimizerSettings, optimizer_raw)
 
     gradcache_raw = {**_GRADCACHE_DEFAULTS, **_section(raw, "gradcache")}
@@ -259,7 +257,6 @@ def _starting_encoder(cfg: RunConfig, checkpoint: str | None) -> Encoder:
     return load_checkpoint(checkpoint_path)
 
 
-# Kept only because bench/tracer.py resolves it by name; training no longer calls it.
 def _mining_stats(
     sims: np.ndarray, positives: list[int], miner: ng.MinerConfig, mode: str
 ) -> tuple[float, float]:
@@ -347,16 +344,16 @@ def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     base = _starting_encoder(cfg, args.checkpoint)
     query_batch = base.encode(corpus.queries(), record=False)
     candidate_batch = base.encode(corpus.items, record=False)
+    sims = query_batch.values @ candidate_batch.values.T
     positives = corpus.positive_indices()
 
     pct_column = "false_neg_pct" if name == "beta" else "hard_neg_pct"
     lines = [f"{name},{pct_column},precision_at_1"]
     for miner in miners:
-        _, stats = ng.mine_batch(query_batch, candidate_batch, positives, miner)
         if name == "beta":
-            value, pct = float(miner.beta), stats.false_neg_pct
+            value, pct = float(miner.beta), _mining_stats(sims, positives, miner, "hard")[0]
         else:
-            value, pct = miner.k, stats.hard_neg_pct
+            value, pct = miner.k, miner.k * 100.0 / len(corpus.items)
         encoder, _ = _fine_tune(cfg, args.checkpoint, corpus, miner, "hard")
         report = evaluate_checkpoint(encoder, corpus, ks=(1,))
         lines.append(f"{value!r},{pct!r},{report.precision_at[1]!r}")

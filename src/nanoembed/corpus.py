@@ -35,6 +35,9 @@ from .fields import check_types, is_number, json_lines
 
 PLANTED_SUFFIX = "#dup"
 _PLANTED_BLEND = 0.5
+# Positions per generated item, both ends included; an embedding reads only
+# an item's last row (a fused item also the one ending its first half).
+SEQ_LEN_RANGE = (2, 4)
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,6 @@ class CorpusSpec:
     n_groups: int = 8
     items_per_group: int = 8
     input_dim: int = 16
-    seq_len_range: tuple[int, int] = (2, 4)
     noise_scale: float = 0.5
     false_negative_rate: float = 0.0
     modality_mix: dict[str, float] = field(default_factory=lambda: {"text": 1.0})
@@ -67,9 +69,6 @@ class CorpusSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_groups < 1 or self.items_per_group < 1 or self.input_dim < 1:
             raise ValueError("n_groups, items_per_group, and input_dim must be >= 1")
-        lo, hi = self.seq_len_range
-        if lo < 1 or hi < lo:
-            raise ValueError(f"bad seq_len_range {self.seq_len_range}")
         if not 0.0 <= self.false_negative_rate <= 1.0:
             raise ValueError(f"false_negative_rate must be in [0, 1], got {self.false_negative_rate}")
         if self.noise_scale < 0.0 or self.centroid_scale <= 0.0 or self.pair_scale < 0.0:
@@ -86,16 +85,13 @@ class CorpusSpec:
         total = sum(self.modality_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"modality_mix weights must sum to 1, got {total}")
-        if self.modality_mix.get("fused", 0.0) > 0.0 and lo < 2:
-            raise ValueError("fused items need seq_len_range starting at 2 or more")
         # The two input_dim^2 views, then up to three sequences per pair
         # (query, positive, planted copy), counted in Python ints, which never overflow.
         dim = self.input_dim
-        features = 2 * dim * dim + 3 * self.n_groups * self.items_per_group * hi * dim
+        features = 2 * dim * dim + 3 * self.n_groups * self.items_per_group * SEQ_LEN_RANGE[1] * dim
         if features * 8 > np.iinfo(np.intp).max:
             raise ValueError(
-                "n_groups, items_per_group, input_dim and seq_len_range"
-                " ask for more features than an address space holds"
+                "n_groups, items_per_group and input_dim ask for more features than an address space holds"
             )
 
 
@@ -193,7 +189,7 @@ def generate(spec: CorpusSpec) -> Corpus:
     """Build a corpus deterministically from the spec's seed."""
     rng = np.random.default_rng(spec.seed)
     dim = spec.input_dim
-    lo, hi = spec.seq_len_range
+    lo, hi = SEQ_LEN_RANGE
     query_view = _view(rng, dim, spec.view_mix)
     candidate_view = _view(rng, dim, spec.view_mix)
     modality_names, modality_cdf = _modality_cdf(spec.modality_mix)

@@ -71,8 +71,7 @@ def stage1_train(
     least two items.  Returns the per-step trace; the encoder is updated in
     place and the teacher never changes.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    optim.check_steps(steps)
     pool = corpus.text_items()
     if len(pool) < 2:
         raise ValueError(f"need at least 2 text items to distill, found {len(pool)}")

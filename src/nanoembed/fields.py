@@ -25,10 +25,6 @@ def is_number(value) -> bool:
 _RULES = {
     "int": (is_int, "an integer"),
     "float": (is_number, "a finite number"),
-    "tuple[int, int]": (
-        lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(is_int, v)),
-        "a list of two integers",
-    ),
     "dict[str, float]": (
         lambda v: isinstance(v, dict) and all(map(is_number, v.values())),
         "an object of finite numbers",

@@ -128,8 +128,7 @@ def stage2_train(
     selection rates and the pre-clip gradient norm.
     """
     ng.check_mode(negative_mode)
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    optim.check_steps(steps)
     queries = corpus.queries()
     n, m = len(queries), len(corpus.items)
     # Queries, then every candidate, stacked once; every step encodes this block.

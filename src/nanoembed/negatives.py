@@ -67,11 +67,9 @@ class MinedBatch:
 class MinerStats:
     """Aggregates reported alongside a mined batch.
 
-    false_neg_pct: percent of queries with a nonempty filtered set.
     hard_neg_pct: percent of the candidate pool each query keeps, 100*k/m.
     """
 
-    false_neg_pct: float
     hard_neg_pct: float
 
 
@@ -154,7 +152,7 @@ def select_negatives(
     if sims.ndim != 2 or sims.shape[0] == 0:
         raise ValueError(f"need a nonempty n x m similarity matrix, got shape {sims.shape}")
     n, m = sims.shape
-    pos = np.asarray(positives, dtype=np.int64)
+    pos = ad.index_array(positives, "positives")
     if pos.shape != (n,):
         raise ValueError(f"{pos.size} positive indices for {n} queries")
     out_of_range = (pos < 0) | (pos >= m)
@@ -221,8 +219,6 @@ def mine_batch(
     if queries.dim != candidates.dim:
         raise ValueError(f"query dim {queries.dim} != candidate dim {candidates.dim}")
     sims = queries.values @ candidates.values.T
-    _, filtered, dup = select_negatives(sims, positives, config.k, "hard", config.beta, None)
-    stats = MinerStats(
-        false_neg_pct=selection_rates(filtered, dup)[0], hard_neg_pct=config.k * 100.0 / len(candidates)
-    )
+    _, filtered, _ = select_negatives(sims, positives, config.k, "hard", config.beta, None)
+    stats = MinerStats(hard_neg_pct=config.k * 100.0 / len(candidates))
     return MinedBatch(filtered=[set(np.flatnonzero(row).tolist()) for row in filtered]), stats

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Parameter
-from .fields import check_types
+from .fields import check_types, is_int
 
 # Adam's moment decay rates and denominator floor.
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
@@ -30,6 +30,12 @@ class OptimizerSettings:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.clip_norm <= 0.0:
             raise ValueError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
+
+
+def check_steps(steps, name: str = "steps") -> None:
+    """Raise ValueError unless steps is an int, not a bool, and at least 0."""
+    if not is_int(steps) or steps < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {steps!r}")
 
 
 class Sgd:

@@ -145,6 +145,17 @@ class TestForwardValues:
         with pytest.raises(IndexError):
             ad.gather_columns(x, [[-1]])
 
+    @pytest.mark.parametrize("cols", [[[0.9], [1.5], [3.99]], [[True], [False], [True]]], ids=["float", "bool"])
+    def test_gather_columns_refuses_non_integer_indices(self, cols):
+        x = ad.constant(np.arange(12.0).reshape(3, 4))
+        with pytest.raises(ValueError, match="^gather_columns: cols must hold integers, got dtype"):
+            ad.gather_columns(x, cols)
+
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    def test_gather_columns_takes_an_empty_index_of_any_dtype(self, dtype):
+        x = ad.constant(np.arange(6.0).reshape(2, 3))
+        assert ad.gather_columns(x, np.zeros((2, 0), dtype=dtype)).shape == (2, 0)
+
     def test_gather_rows_picks_and_repeats(self):
         x = ad.constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         out = ad.gather_rows(x, [2, 0, 2])
@@ -158,6 +169,12 @@ class TestForwardValues:
             ad.gather_rows(x, [-1])
         with pytest.raises(ValueError):
             ad.gather_rows(x, [])
+
+    @pytest.mark.parametrize("rows", [[2.7, True], [2.0, 1.0], [True, False]], ids=["mixed", "float", "bool"])
+    def test_gather_rows_refuses_non_integer_indices(self, rows):
+        x = ad.constant(np.arange(6.0).reshape(3, 2))
+        with pytest.raises(ValueError, match="^gather_rows: rows must hold integers, got dtype"):
+            ad.gather_rows(x, rows)
 
     def test_concat_rows_stacks(self):
         out = ad.concat_rows([ad.constant([[1.0, 2.0]]), ad.constant([[3.0, 4.0], [5.0, 6.0]])])

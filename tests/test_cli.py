@@ -33,9 +33,7 @@ DIVERGENT_SGD = {"kind": "sgd", "learning_rate": 1e300, "clip_norm": 1e300, "ste
 OVERFLOWING_UPDATE = {"learning_rate": 1e308, "clip_norm": 1e308, "steps": 12}
 TEACHER_WIDTH = "teacher input_dim 4 != encoder input_dim 8"
 OVERSIZED = "input_dim, hidden_dim, embed_dim and depth ask for more weights than an address space holds"
-OVERSIZED_CORPUS = (
-    "n_groups, items_per_group, input_dim and seq_len_range ask for more features than an address space holds"
-)
+OVERSIZED_CORPUS = "n_groups, items_per_group and input_dim ask for more features than an address space holds"
 
 
 def base_config(**overrides):
@@ -185,6 +183,14 @@ class TestConfigLoading:
         assert run("stage2", "--config", config, "--out", tmp_path / "out") == 2
         assert "exclude_other_positives" in capsys.readouterr().err
 
+    def test_removed_seq_len_range_is_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, corpus={**CORPUS, "seq_len_range": [2, 4]})
+        assert run("stage1", "--config", config, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            "error: bad 'corpus' config: CorpusSpec.__init__() got an unexpected keyword argument 'seq_len_range'\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "command, overrides, field",
         [
@@ -206,8 +212,6 @@ class TestConfigLoading:
             ("stage1", {"teacher": {"offset_scale": "3"}}, "offset_scale"),
             ("ablate", {"sweep": {"beta": [True]}}, "beta"),
             ("stage1", {"corpus": {**CORPUS, "modality_mix": {"text": True}}}, "modality_mix"),
-            ("stage1", {"corpus": {**CORPUS, "seq_len_range": [2.5, 4]}}, "seq_len_range"),
-            ("stage1", {"corpus": {**CORPUS, "seq_len_range": 5}}, "seq_len_range"),
             ("stage1", {"corpus": {"path": 5}}, "path"),
             ("stage1", {"output_dir": 5}, "output_dir"),
             ("stage2", {"miner": {"beta": float("nan"), "k": 4}}, "beta"),
@@ -224,9 +228,9 @@ class TestConfigLoading:
             "enabled_string", "seed_bool", "steps_bool", "sub_batch_bool", "k_bool", "hidden_dim_bool",
             "embed_dim_bool", "depth_bool", "batch_size_fraction", "k_float", "hidden_dim_float",
             "sweep_k_fraction", "tau_bool", "learning_rate_bool", "offset_scale_bool",
-            "offset_scale_string", "sweep_beta_bool", "modality_mix_bool", "seq_len_range_fraction",
-            "seq_len_range_scalar", "corpus_path_int", "output_dir_int", "beta_nan",
-            "offset_scale_nan", "noise_scale_nan", "learning_rate_inf", "sweep_beta_minus_inf",
+            "offset_scale_string", "sweep_beta_bool", "modality_mix_bool", "corpus_path_int",
+            "output_dir_int", "beta_nan", "offset_scale_nan", "noise_scale_nan", "learning_rate_inf",
+            "sweep_beta_minus_inf",
             "offset_scale_huge_int", "teacher_width_steps0", "teacher_width_steps3", "teacher_width_eval",
         ],
     )
@@ -499,7 +503,7 @@ class TestStage2:
         assert not (tmp_path / "out").exists()
 
     def test_fused_items_are_usage_error(self, tmp_path, capsys):
-        corpus = {**CORPUS, "seq_len_range": [2, 4], "modality_mix": {"text": 0.5, "fused": 0.5}}
+        corpus = {**CORPUS, "modality_mix": {"text": 0.5, "fused": 0.5}}
         config = write_config(tmp_path, corpus=corpus)
         assert run("stage2", "--config", config, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
@@ -1088,12 +1092,8 @@ class TestBadInputLeavesNoOutput:
         assert time.perf_counter() - started < 2.0
         assert err == f"error: bad 'encoder' config: {OVERSIZED}\n"
 
-    # Refused at load, before generation allocates or, for n_groups, loops.
-    @pytest.mark.parametrize("corpus", [
-        {"seq_len_range": [2, 2**62]},
-        {"seq_len_range": [1, 2**63]},
-        {"n_groups": 10**400},
-    ], ids=["seq_len_2**62", "seq_len_2**63", "n_groups_10**400"])
+    # Refused at load, before generation allocates or loops.
+    @pytest.mark.parametrize("corpus", [{"n_groups": 10**400}], ids=["n_groups_10**400"])
     def test_corpus_beyond_any_address_space_fails_at_load(self, tmp_path, capsys, corpus):
         config = write_config(tmp_path, corpus={**CORPUS, **corpus})
         started = time.perf_counter()

@@ -17,7 +17,6 @@ SPEC = cp.CorpusSpec(
     n_groups=4,
     items_per_group=5,
     input_dim=8,
-    seq_len_range=(2, 4),
     noise_scale=0.5,
     false_negative_rate=0.2,
 )
@@ -32,12 +31,6 @@ class TestSpecValidation:
             cp.CorpusSpec(n_groups=0)
         with pytest.raises(ValueError, match="n_groups, items_per_group, and input_dim must be >= 1"):
             cp.CorpusSpec(input_dim=0)
-
-    def test_bad_seq_len_range_rejected(self):
-        with pytest.raises(ValueError, match="bad seq_len_range"):
-            cp.CorpusSpec(seq_len_range=(0, 3))
-        with pytest.raises(ValueError, match="bad seq_len_range"):
-            cp.CorpusSpec(seq_len_range=(4, 2))
 
     def test_rate_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError, match="false_negative_rate must be in"):
@@ -64,19 +57,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown modality 'audio' in mix"):
             cp.CorpusSpec(modality_mix={"audio": 1.0})
 
-    def test_fused_mix_needs_longer_sequences(self):
-        with pytest.raises(ValueError, match="fused items need seq_len_range starting at 2"):
-            cp.CorpusSpec(modality_mix={"fused": 1.0}, seq_len_range=(1, 3))
-        cp.CorpusSpec(modality_mix={"fused": 1.0}, seq_len_range=(2, 3))
-
     def test_features_beyond_any_address_space_rejected(self):
-        # One pair of width 1: two 1 x 1 views and three sequences of up to hi
-        # positions, 8 bytes a feature. Building a spec allocates nothing.
-        hi = (np.iinfo(np.intp).max // 8 - 2) // 3
-        sizes = {"n_groups": 1, "items_per_group": 1, "input_dim": 1}
-        cp.CorpusSpec(**sizes, seq_len_range=(1, hi))
-        with pytest.raises(ValueError, match="^n_groups, items_per_group, input_dim and seq_len_range ask"):
-            cp.CorpusSpec(**sizes, seq_len_range=(1, hi + 1))
+        # Groups of one pair of width 1: two 1 x 1 views, then three sequences
+        # of up to SEQ_LEN_RANGE[1] positions a group, 8 bytes a feature.
+        # Building a spec allocates nothing.
+        most = (np.iinfo(np.intp).max // 8 - 2) // (3 * cp.SEQ_LEN_RANGE[1])
+        sizes = {"items_per_group": 1, "input_dim": 1}
+        cp.CorpusSpec(**sizes, n_groups=most)
+        with pytest.raises(ValueError, match="^n_groups, items_per_group and input_dim ask"):
+            cp.CorpusSpec(**sizes, n_groups=most + 1)
 
 
 def oracle_generate(spec):
@@ -84,7 +73,7 @@ def oracle_generate(spec):
     both spreads divided per pair, the modality drawn with searchsorted."""
     rng = np.random.default_rng(spec.seed)
     dim = spec.input_dim
-    lo, hi = spec.seq_len_range
+    lo, hi = cp.SEQ_LEN_RANGE
     query_view = cp._view(rng, dim, spec.view_mix)
     candidate_view = cp._view(rng, dim, spec.view_mix)
     names, cdf = cp._modality_cdf(spec.modality_mix)
@@ -148,7 +137,7 @@ class TestGenerate:
     @pytest.mark.parametrize("view_mix", [0.0, 0.5, 1.0])
     def test_matches_the_per_pair_oracle(self, view_mix):
         spec = cp.CorpusSpec(
-            seed=31, n_groups=5, items_per_group=6, input_dim=7, seq_len_range=(2, 5), false_negative_rate=0.25,
+            seed=31, n_groups=5, items_per_group=6, input_dim=7, false_negative_rate=0.25,
             modality_mix={"text": 0.5, "image": 0.3, "fused": 0.2}, view_mix=view_mix,
         )
         got, want = cp.generate(spec), oracle_generate(spec)
@@ -200,7 +189,7 @@ class TestGenerate:
 
     def test_sequence_lengths_respect_range(self):
         corpus = cp.generate(SPEC)
-        lo, hi = SPEC.seq_len_range
+        lo, hi = cp.SEQ_LEN_RANGE
         for it in corpus.items + corpus.queries():
             assert lo <= it.features.shape[0] <= hi
 

@@ -211,6 +211,18 @@ class TestStage1Train:
             counts.append(list(calls))
         assert counts[0] == counts[1] == [len(corpus.text_items())]
 
+    @pytest.mark.parametrize("steps", [True, 2.0, -1])
+    def test_steps_must_be_a_nonnegative_integer(self, steps):
+        student = enc.Encoder(enc.EncoderConfig(input_dim=6, hidden_dim=8, embed_dim=5, seed=7))
+        before = [w.copy() for _, w in student.weight_arrays()]
+        teacher = enc.TeacherEncoder(enc.EncoderConfig(input_dim=6, hidden_dim=8, embed_dim=5, seed=8))
+        with pytest.raises(ValueError) as raised:
+            ds.stage1_train(student, tiny_corpus(), teacher, ds.DistillConfig(batch_size=8),
+                            optim.OptimizerSettings(), steps=steps)
+        assert str(raised.value) == f"steps must be a nonnegative integer, got {steps!r}"
+        for (_, after), prior in zip(student.weight_arrays(), before):
+            np.testing.assert_array_equal(after, prior)
+
     def test_image_only_corpus_has_no_text_pool(self):
         student = enc.Encoder(enc.EncoderConfig(input_dim=6, hidden_dim=8, embed_dim=5, seed=7))
         teacher = enc.TeacherEncoder(enc.EncoderConfig(input_dim=6, hidden_dim=8, embed_dim=5, seed=7))

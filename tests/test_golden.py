@@ -34,7 +34,6 @@ from test_cli import CORPUS, base_config  # noqa: E402
 
 FUSED_CORPUS = {
     **CORPUS,
-    "seq_len_range": [2, 4],
     "modality_mix": {"text": 0.4, "image": 0.2, "fused": 0.4},
 }
 

@@ -71,6 +71,13 @@ class TestObjectiveValidation:
         with pytest.raises(ValueError, match="mode must be one of .*, got 'medium'"):
             gc.ContrastiveObjective(n_queries=1, positives=(0,), config=ng.MinerConfig(), mode="medium")
 
+    def test_contrastive_refuses_non_integer_positives(self):
+        rng = np.random.default_rng(0)
+        queries, candidates = ad.constant(rng.normal(size=(3, 4))), ad.constant(rng.normal(size=(4, 4)))
+        objective = gc.ContrastiveObjective(n_queries=3, positives=[0.9, 1.2, 2.7], config=ng.MinerConfig(k=2))
+        with pytest.raises(ValueError, match="^positives must hold integers, got dtype float64$"):
+            objective.loss_between(queries, candidates)
+
     def test_contrastive_batch_needs_candidates_and_in_range_positives(self):
         encoder, items, objective = contrastive_case()
         with pytest.raises(ValueError, match="leaves no candidates after 32 queries"):

@@ -191,6 +191,11 @@ class TestBatchLoss:
         twice = nce.infonce_batch_loss(sims, [0], [[1, 1]], 0.5).item()
         assert twice > once
 
+    def test_non_integer_positives_rejected(self):
+        sims = ad.constant(unit_rows(21, 1, 4) @ unit_rows(22, 3, 4).T)
+        with pytest.raises(ValueError, match="^gather_columns: cols must hold integers, got dtype float64$"):
+            nce.infonce_batch_loss(sims, [0.9], [[2]], 0.5)
+
     def test_shape_validation(self):
         sims = ad.constant(unit_rows(19, 2, 4) @ unit_rows(20, 5, 4).T)
         with pytest.raises(ValueError):
@@ -311,6 +316,18 @@ class TestStage2Train:
         with pytest.raises(ValueError, match=r"^sub_batch must be in \[1, \d+\], got 0$"):
             nce.stage2_train(encoder, corpus, ng.MinerConfig(beta=0.0, k=4), optim.OptimizerSettings(),
                              steps=steps, sub_batch=0)
+
+    @pytest.mark.parametrize("sub_batch", [None, 4])
+    @pytest.mark.parametrize("steps", [True, 2.0, -1])
+    def test_steps_must_be_a_nonnegative_integer(self, steps, sub_batch):
+        corpus, encoder = small_setup()
+        before = [w.copy() for _, w in encoder.weight_arrays()]
+        with pytest.raises(ValueError) as raised:
+            nce.stage2_train(encoder, corpus, ng.MinerConfig(beta=2.0, k=4), optim.OptimizerSettings(),
+                             steps=steps, sub_batch=sub_batch)
+        assert str(raised.value) == f"steps must be a nonnegative integer, got {steps!r}"
+        for (_, after), prior in zip(encoder.weight_arrays(), before):
+            np.testing.assert_array_equal(after, prior)
 
     def test_unknown_mode_rejected(self):
         corpus, encoder = small_setup()

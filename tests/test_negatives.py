@@ -181,7 +181,7 @@ class TestMineBatch:
         teacher = enc.TeacherEncoder(enc.EncoderConfig(input_dim=16, hidden_dim=24, embed_dim=12, seed=5))
         queries = teacher.encode(corpus.queries())
         candidates = teacher.encode(corpus.items)
-        mined, stats = neg.mine_batch(
+        mined, _ = neg.mine_batch(
             queries, candidates, corpus.positive_indices(), neg.MinerConfig(beta=0.0, k=4)
         )
         planted_total = caught = 0
@@ -193,15 +193,14 @@ class TestMineBatch:
             caught += planted_idx in mined.filtered[i]
         assert planted_total == 16
         assert caught == planted_total
-        assert stats.false_neg_pct >= 100.0 * planted_total / len(corpus.pairs)
+        assert sum(map(bool, mined.filtered)) >= planted_total
 
     def test_huge_beta_filters_nothing(self):
         rng = np.random.default_rng(5)
         queries = unit_batch(rng, 8, 6, "q")
         candidates = unit_batch(rng, 10, 6, "c")
-        mined, stats = neg.mine_batch(queries, candidates, [0] * 8, neg.MinerConfig(beta=2.0, k=3))
+        mined, _ = neg.mine_batch(queries, candidates, [0] * 8, neg.MinerConfig(beta=2.0, k=3))
         assert all(not f for f in mined.filtered)
-        assert stats.false_neg_pct == 0.0
 
     def test_hard_neg_pct_exact_fractions(self):
         rng = np.random.default_rng(6)
@@ -222,10 +221,10 @@ class TestMineBatch:
         candidates = teacher.encode(corpus.items)
         rates = []
         for beta in (-0.1, 0.0, 0.1, 0.2, 0.3):
-            _, stats = neg.mine_batch(
+            mined, _ = neg.mine_batch(
                 queries, candidates, corpus.positive_indices(), neg.MinerConfig(beta=beta, k=4)
             )
-            rates.append(stats.false_neg_pct)
+            rates.append(sum(map(bool, mined.filtered)))
         assert all(a >= b for a, b in zip(rates, rates[1:]))
         assert rates[0] > rates[-1]
 
@@ -324,6 +323,12 @@ class TestSelectNegatives:
         with pytest.raises(ValueError) as raised:
             calls[entry]()
         assert str(raised.value) == "negative_mode must be one of ('hard', 'easy', 'random'), got 'medium'"
+
+    @pytest.mark.parametrize("positives", [[0.9, 1.2, 2.7], [True, False, True]], ids=["float", "bool"])
+    @pytest.mark.parametrize("mode", neg.NEGATIVE_MODES)
+    def test_non_integer_positives_rejected(self, mode, positives):
+        with pytest.raises(ValueError, match="^positives must hold integers, got dtype"):
+            neg.select_negatives(np.zeros((3, 4)), positives, 1, mode, 0.0, np.random.default_rng(0))
 
     def test_random_mode_needs_a_generator(self):
         with pytest.raises(ValueError, match="generator"):
