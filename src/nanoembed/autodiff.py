@@ -141,10 +141,19 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
 
 
-def _from_op(values: np.ndarray, parents: tuple[Tensor, ...], vjp: Vjp) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        return Tensor(values, requires_grad=True, parents=parents, vjp=vjp)
-    return Tensor(values)
+def from_op(
+    values: np.ndarray, parents: tuple[Tensor, ...], vjp: Vjp, saved: Sequence[np.ndarray] = ()
+) -> Tensor:
+    """An op's output: a graph node with vjp if any parent records gradients,
+    else a constant. saved lists the arrays vjp holds besides values; a node
+    counts them as live for as long as it lives."""
+    if not any(p.requires_grad for p in parents):
+        return Tensor(values)
+    out = Tensor(values, requires_grad=True, parents=parents, vjp=vjp)
+    held = sum(a.size for a in saved)
+    out._size += held
+    _count_alloc(held)
+    return out
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -161,7 +170,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (g, g.sum(axis=0, keepdims=True) if row else g)
 
-    return _from_op(a.values + b.values, (a, b), vjp)
+    return from_op(a.values + b.values, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -171,7 +180,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (g, -g)
 
-    return _from_op(a.values - b.values, (a, b), vjp)
+    return from_op(a.values - b.values, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -182,7 +191,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (g * b_values, g * a_values)
 
-    return _from_op(a_values * b_values, (a, b), vjp)
+    return from_op(a_values * b_values, (a, b), vjp)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -192,7 +201,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     def vjp(g):
         return (g * s,)
 
-    return _from_op(a.values * s, (a,), vjp)
+    return from_op(a.values * s, (a,), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -203,14 +212,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (g @ b_values.T if a.requires_grad else None, a_values.T @ g if b.requires_grad else None)
 
-    return _from_op(a_values @ b_values, (a, b), vjp)
+    return from_op(a_values @ b_values, (a, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
     def vjp(g):
         return (g.T,)
 
-    return _from_op(a.values.T, (a,), vjp)
+    return from_op(a.values.T, (a,), vjp)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -219,7 +228,7 @@ def exp(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * out_values,)
 
-    return _from_op(out_values, (a,), vjp)
+    return from_op(out_values, (a,), vjp)
 
 
 def log(a: Tensor) -> Tensor:
@@ -228,7 +237,7 @@ def log(a: Tensor) -> Tensor:
     def vjp(g):
         return (g / a_values,)
 
-    return _from_op(np.log(a_values), (a,), vjp)
+    return from_op(np.log(a_values), (a,), vjp)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -237,7 +246,7 @@ def tanh(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * (1.0 - out_values * out_values),)
 
-    return _from_op(out_values, (a,), vjp)
+    return from_op(out_values, (a,), vjp)
 
 
 def row_sum(a: Tensor) -> Tensor:
@@ -247,7 +256,7 @@ def row_sum(a: Tensor) -> Tensor:
     def vjp(g):
         return (np.broadcast_to(g, shape),)
 
-    return _from_op(a.values.sum(axis=1, keepdims=True), (a,), vjp)
+    return from_op(a.values.sum(axis=1, keepdims=True), (a,), vjp)
 
 
 def total_sum(a: Tensor) -> Tensor:
@@ -257,25 +266,35 @@ def total_sum(a: Tensor) -> Tensor:
     def vjp(g):
         return (np.full(shape, g[0, 0]),)
 
-    return _from_op(np.array([[a.values.sum()]]), (a,), vjp)
+    return from_op(np.array([[a.values.sum()]]), (a,), vjp)
 
 
-def row_l2_normalize(a: Tensor) -> Tensor:
-    """Scale each row to unit L2 norm.
+def unit_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values with each row scaled to unit L2 norm, the n x 1 norms).
 
     Raises ValueError if any row norm falls below NORM_FLOOR.
     """
-    norms = np.sqrt((a.values * a.values).sum(axis=1, keepdims=True))
+    norms = np.sqrt((values * values).sum(axis=1, keepdims=True))
     if np.any(norms < NORM_FLOOR):
         bad = int(np.argmax(norms < NORM_FLOOR))
         raise ValueError(f"row {bad} has norm below {NORM_FLOOR}")
-    out_values = a.values / norms
+    return values / norms, norms
+
+
+def unit_rows_vjp(g: np.ndarray, out: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The adjoint of unit_rows' input, given g on its output out."""
+    dot = (g * out).sum(axis=1, keepdims=True)
+    return (g - out * dot) / norms
+
+
+def row_l2_normalize(a: Tensor) -> Tensor:
+    """Scale each row to unit L2 norm; see unit_rows."""
+    out_values, norms = unit_rows(a.values)
 
     def vjp(g):
-        dot = (g * out_values).sum(axis=1, keepdims=True)
-        return ((g - out_values * dot) / norms,)
+        return (unit_rows_vjp(g, out_values, norms),)
 
-    return _from_op(out_values, (a,), vjp)
+    return from_op(out_values, (a,), vjp)
 
 
 def check_tau(tau: float) -> float:
@@ -298,7 +317,7 @@ def softmax_rows(a: Tensor, tau: float = 1.0) -> Tensor:
         inner = (g * p).sum(axis=1, keepdims=True)
         return (p * (g - inner) / tau,)
 
-    return _from_op(p, (a,), vjp)
+    return from_op(p, (a,), vjp)
 
 
 def log_softmax_rows(a: Tensor, tau: float = 1.0) -> Tensor:
@@ -313,7 +332,7 @@ def log_softmax_rows(a: Tensor, tau: float = 1.0) -> Tensor:
     def vjp(g):
         return ((g - p * g.sum(axis=1, keepdims=True)) / tau,)
 
-    return _from_op(ls, (a,), vjp)
+    return from_op(ls, (a,), vjp)
 
 
 def row_log_sum_exp(a: Tensor) -> Tensor:
@@ -325,7 +344,7 @@ def row_log_sum_exp(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * np.exp(a_values - out_values),)
 
-    return _from_op(out_values, (a,), vjp)
+    return from_op(out_values, (a,), vjp)
 
 
 def index_array(values, name: str) -> np.ndarray:
@@ -361,7 +380,40 @@ def gather_columns(a: Tensor, cols) -> Tensor:
     def vjp(g):
         return (_scatter_add((rows * shape[1] + idx).ravel(), g, shape),)
 
-    return _from_op(a.values[rows, idx], (a,), vjp)
+    return from_op(a.values[rows, idx], (a,), vjp)
+
+
+def gather_products(a: Tensor, b: Tensor, products: np.ndarray, cols) -> Tensor:
+    """Pick per-row columns of a @ b.T, which the caller has written into
+    products, a C-contiguous float64 array: out[i, j] = products[i, cols[i, j]].
+
+    The graph holds no n x m array of its own. The vjp zero-fills products
+    and scatter-adds the adjoint into it, then returns what matmul(a,
+    transpose(b)) followed by gather_columns would, bit for bit: np.add.at
+    adds duplicates in index order from 0.0, as _scatter_add does.
+    """
+    idx = index_array(cols, "gather_products: cols")
+    shape = (a.shape[0], b.shape[0])
+    if a.shape[1] != b.shape[1] or products.shape != shape:
+        raise ValueError(f"gather_products: {products.shape} is not the product of {a.shape} and {b.shape}.T")
+    if products.dtype != np.float64 or not products.flags.c_contiguous:
+        raise ValueError("gather_products: products must be a C-contiguous float64 array")
+    if idx.ndim != 2 or idx.shape[0] != shape[0]:
+        raise ValueError(f"gather_products: index shape {idx.shape} does not match {shape[0]} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= shape[1]):
+        raise IndexError(f"gather_products: index out of range for {shape[1]} columns")
+    flat = (np.arange(shape[0])[:, None] * shape[1] + idx).ravel()
+    a_values, b_values = a.values, b.values
+
+    def vjp(g):
+        products.fill(0.0)
+        np.add.at(products.reshape(-1), flat, g.ravel())
+        return (
+            products @ b_values if a.requires_grad else None,
+            (a_values.T @ products).T if b.requires_grad else None,
+        )
+
+    return from_op(products.reshape(-1)[flat].reshape(idx.shape), (a, b), vjp)
 
 
 def gather_rows(a: Tensor, rows) -> Tensor:
@@ -379,7 +431,7 @@ def gather_rows(a: Tensor, rows) -> Tensor:
     def vjp(g):
         return (_scatter_add((idx[:, None] * shape[1] + np.arange(shape[1])).ravel(), g, shape),)
 
-    return _from_op(a.values[idx], (a,), vjp)
+    return from_op(a.values[idx], (a,), vjp)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -400,7 +452,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
             offset += s
         return tuple(out)
 
-    return _from_op(np.vstack([p.values for p in parts]), parts, vjp)
+    return from_op(np.vstack([p.values for p in parts]), parts, vjp)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

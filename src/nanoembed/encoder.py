@@ -170,13 +170,45 @@ def _init_weight_arrays(config: EncoderConfig) -> list[tuple[str, np.ndarray]]:
     return arrays
 
 
-def _forward(x: Tensor, weights: Sequence[Tensor], depth: int) -> Tensor:
+def _forward(x: np.ndarray, weights: Sequence[Tensor], depth: int, record: bool) -> Tensor:
+    """The forward pass on rows x as one graph node whose parents are the
+    weights, or as a constant with record=False.
+
+    It runs the numpy expressions of the per-op chain (matmul, add of the
+    bias row, tanh between layers, projection matmul, row_l2_normalize), and
+    its vjp runs those ops' vjps in reverse order, so values and gradients
+    keep their bits. The node saves the input, each tanh output, the
+    pre-projection rows, the output and its norms.
+    """
+    w = [t.values for t in weights]
+    tanh_out: list[np.ndarray] = []
     h = x
     for layer in range(depth):
-        h = ad.add(ad.matmul(h, weights[2 * layer]), weights[2 * layer + 1])
+        h = h @ w[2 * layer] + w[2 * layer + 1]
         if layer < depth - 1:
-            h = ad.tanh(h)
-    return ad.row_l2_normalize(ad.matmul(h, weights[-1]))
+            h = np.tanh(h)
+            if record:  # without a vjp to read them, each layer's rows are freed as the next is made
+                tanh_out.append(h)
+    pre = h
+    out, norms = ad.unit_rows(pre @ w[-1])
+    # add's vjp sums the bias adjoint over rows, unless one row makes the shapes equal.
+    bias_row = x.shape[0] != 1
+
+    def vjp(g):
+        grads: list[np.ndarray] = [None] * len(w)
+        g = ad.unit_rows_vjp(g, out, norms)
+        grads[-1] = pre.T @ g
+        g = g @ w[-1].T
+        for layer in reversed(range(depth)):
+            if layer < depth - 1:
+                g = g * (1.0 - tanh_out[layer] * tanh_out[layer])
+            grads[2 * layer + 1] = g.sum(axis=0, keepdims=True) if bias_row else g
+            grads[2 * layer] = (x if layer == 0 else tanh_out[layer - 1]).T @ g
+            if layer > 0:
+                g = g @ w[2 * layer].T
+        return tuple(grads)
+
+    return ad.from_op(out, tuple(weights) if record else (), vjp, saved=(x, *tanh_out, pre, norms))
 
 
 class Encoder:
@@ -220,9 +252,8 @@ class Encoder:
         width = self.config.input_dim
         if values.shape[1] != width:
             raise ValueError(f"rows have feature width {values.shape[1]}, encoder expects {width}")
-        weights = [p.tensor if record else ad.constant(p.values) for p in self._params]
         with np.errstate(over="ignore", invalid="ignore"):
-            return _forward(ad.constant(values), weights, self.config.depth)
+            return _forward(values, [p.tensor for p in self._params], self.config.depth, record)
 
 
 def _group_direction(seed: int, group: str, embed_dim: int) -> np.ndarray:

@@ -70,12 +70,16 @@ class ContrastiveObjective:
     """InfoNCE of query rows against candidate rows: the one scoring rule of
     a stage-2 step, naive or cached.
 
-    loss_between builds the query-by-candidate similarity matrix once, mines
-    negatives on its plain values, outside the graph, and gathers the loss
-    from it; loss_on does the same for a batch laid out as n_queries query
-    rows then the candidates.  seed is an int (each mine starts a fresh
-    generator) or a Generator (each mine draws on from it).  selection_rates
-    holds the FalseNeg% and duplication rate of the latest mine.
+    loss_between writes the query-by-candidate similarities into the
+    objective's one n x m buffer, mines negatives on it, outside the graph,
+    and gathers each query's positive and negatives from it for the loss;
+    loss_on does the same for a batch laid out as n_queries query rows then
+    the candidates.  The buffer is kept for the objective's later calls,
+    reallocated only when the shape changes, and the backward pass writes
+    the gathered columns' adjoint into it, so a step holds no other n x m
+    float array.  seed is an int (each mine starts a fresh generator) or a
+    Generator (each mine draws on from it).  selection_rates holds the
+    FalseNeg% and duplication rate of the latest mine.
     """
 
     n_queries: int
@@ -84,6 +88,8 @@ class ContrastiveObjective:
     mode: str = "hard"
     seed: int | np.random.Generator = 0
     selection_rates: tuple[float, float] | None = field(default=None, init=False)
+    # A constant Tensor, so the live-element count includes the buffer.
+    _sims: Tensor | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.n_queries < 1:
@@ -92,11 +98,11 @@ class ContrastiveObjective:
             raise ValueError(f"{len(self.positives)} positives for {self.n_queries} queries")
         ng.check_mode(self.mode)
 
-    def mine(self, sims: Tensor) -> np.ndarray:
-        """The (n_queries, k) negative candidate indices, deterministic given sims.values."""
+    def mine(self, sims: np.ndarray) -> np.ndarray:
+        """The (n_queries, k) negative candidate indices, deterministic given sims."""
         rng = np.random.default_rng(self.seed)
         negatives, filtered, dup = ng.select_negatives(
-            sims.values, self.positives, self.config.k, self.mode, self.config.beta, rng
+            sims, self.positives, self.config.k, self.mode, self.config.beta, rng
         )
         self.selection_rates = ng.selection_rates(filtered, dup)
         return negatives
@@ -104,8 +110,16 @@ class ContrastiveObjective:
     def loss_between(self, queries: Tensor, candidates: Tensor) -> Tensor:
         from . import infonce as nce  # imported here because infonce imports this module
 
-        sims = ad.matmul(queries, ad.transpose(candidates))
-        return nce.infonce_batch_loss(sims, self.positives, self.mine(sims), self.config.tau)
+        if queries.shape[1] != candidates.shape[1]:
+            raise ValueError(f"query width {queries.shape[1]} != candidate width {candidates.shape[1]}")
+        shape = (queries.shape[0], candidates.shape[0])
+        if self._sims is None or self._sims.shape != shape:
+            self._sims = None  # free the old buffer before allocating its successor
+            self._sims = ad.constant(np.empty(shape))
+        sims = self._sims.values
+        np.matmul(queries.values, candidates.values.T, out=sims)
+        cols = np.column_stack((self.positives, self.mine(sims)))
+        return nce.infonce_batch_loss(ad.gather_products(queries, candidates, sims, cols), self.config.tau)
 
     def loss_on(self, emb: EmbeddingBatch) -> Tensor:
         n, total = self.n_queries, len(emb)

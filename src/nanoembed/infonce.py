@@ -12,7 +12,6 @@ cyclically when fewer than k candidates are eligible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -49,28 +48,20 @@ class ContrastiveTriple:
 
 def infonce_hard_loss(triple: ContrastiveTriple, tau: float) -> Tensor:
     """-log of the positive's softmax weight among positive plus negatives:
-    infonce_batch_loss of one query against the rows [e_pos; e_neg]."""
-    sims = ad.matmul(triple.e_q, ad.transpose(ad.concat_rows([triple.e_pos, triple.e_neg])))
-    return infonce_batch_loss(sims, [0], [np.arange(1, sims.shape[1])], tau)
+    infonce_batch_loss of one query's scores against the rows [e_pos; e_neg]."""
+    return infonce_batch_loss(
+        ad.matmul(triple.e_q, ad.transpose(ad.concat_rows([triple.e_pos, triple.e_neg]))), tau
+    )
 
 
-def infonce_batch_loss(
-    sims: Tensor,
-    positives: np.ndarray | Sequence[int],
-    negatives: np.ndarray | Sequence[Sequence[int]],
-    tau: float,
-) -> Tensor:
-    """Mean per-query InfoNCE over a query-by-candidate similarity matrix.
-
-    Row i's logits gather candidate columns [positives[i], *negatives[i]],
-    negatives being n x k; duplicated negative indices contribute as many
-    denominator terms as they appear, matching per-triple evaluation exactly.
+def infonce_batch_loss(scores: Tensor, tau: float) -> Tensor:
+    """Mean per-query InfoNCE over gathered similarities: row i holds query
+    i's similarity to its positive in column 0, then to each of its
+    negatives.  A negative that appears twice contributes two denominator
+    terms, matching per-triple evaluation exactly.
     """
-    n = sims.shape[0]
-    if len(positives) != n or len(negatives) != n:
-        raise ValueError(f"{len(positives)} positives and {len(negatives)} rows of negatives for {n} queries")
-    cols = np.column_stack((positives, negatives))
-    logits = ad.scale(ad.gather_columns(sims, cols), 1.0 / ad.check_tau(tau))
+    n = scores.shape[0]
+    logits = ad.scale(scores, 1.0 / ad.check_tau(tau))
     per_query = ad.sub(ad.row_log_sum_exp(logits), ad.gather_columns(logits, np.zeros((n, 1), np.intp)))
     return ad.scale(ad.total_sum(per_query), 1.0 / n)
 
@@ -152,7 +143,7 @@ def stage2_train(
                 loss = batch_loss.item()
                 del batch_loss  # the graph's one root: free it before the next step encodes
             else:
-                _, loss, _ = cached_step(encoder, rows, objective, plan)
+                loss = cached_step(encoder, rows, objective, plan)[1]
             grad_norm = optim.clip_global_norm(params, settings.clip_norm)
             optimizer.step()
             optim.check_finite(params)

@@ -9,10 +9,11 @@ top k become hard negatives, cycling through the ranked list when fewer
 than k are eligible.
 
 ``select_negatives`` applies that rule, and the easy and random modes, to a
-whole query-by-candidate similarity matrix at once: each of up to k passes
-takes every row's smallest remaining key with one ``argmin`` and sets it to
-+inf. The cost is linear in k; at 384 x 480 the passes beat a partition and
-block sort up to about k = 24. The per-row ``filter_false_negatives`` and
+whole query-by-candidate similarity matrix at once, building its key a
+block of rows at a time: each of up to k passes takes every row's smallest
+remaining key with one ``argmin`` and sets it to +inf. The cost is linear
+in k; at 384 x 480 the passes beat a partition and block sort up to about
+k = 24. The per-row ``filter_false_negatives`` and
 ``sample_hard_negatives`` are the scalar reference it is tested against.
 """
 
@@ -29,6 +30,12 @@ from .fields import check_types
 
 
 NEGATIVE_MODES = ("hard", "easy", "random")
+
+# select_negatives builds its hard/easy key this many bytes of rows at a
+# time (at least one row), not as a second n x m array beside sims. At 384
+# x 480 that is blocks of 102 rows: smaller blocks slowed a naive hard step
+# by up to 3%, larger ones cost memory and gained no time.
+KEY_BLOCK_BYTES = 384 * 1024
 
 
 def check_mode(mode: str) -> None:
@@ -139,7 +146,9 @@ def select_negatives(
     first of equal keys, into column t and sets that key to +inf, so the
     passes rank a row in (key, index) order. There are min(k, most eligible
     in any row) passes, so the cost is linear in k: at 384 x 480 they beat a
-    partition and block sort up to about k = 24. neg is C-contiguous intp.
+    partition and block sort up to about k = 24. The key is built and
+    ranked KEY_BLOCK_BYTES of rows at a time, in one reused buffer, not as
+    a second n x m array. neg is C-contiguous intp.
     Random mode shuffles each row's eligible candidates with one
     ``rng.permuted`` call, which consumes the generator exactly as one
     ``rng.permutation`` per row in row order would; the other modes never
@@ -190,16 +199,28 @@ def select_negatives(
         shuffled = np.ascontiguousarray(rng.permuted(eligible_cols, axis=1))
         return np.take_along_axis(shuffled, take, axis=1), filtered, dup
 
-    key = -sims if mode == "hard" else sims.copy()
-    np.copyto(key, np.inf, where=filtered)
-    key[rows, pos] = np.inf
     # A row short of the pass count runs out of finite keys; take never
     # reads the columns past its eligible count.
     ranked = np.empty((n, min(k, int(eligible.max()))), dtype=np.intp)
-    for t in range(ranked.shape[1]):
-        pick = key.argmin(axis=1)
-        ranked[:, t] = pick
-        key[rows, pick] = np.inf
+    block = max(1, KEY_BLOCK_BYTES // (8 * m))
+    key_buffer = np.empty((min(block, n), m))
+    # Flat offsets of each key row's first element: one put per pass clears the picks.
+    row_offsets = rows * m
+    for start in range(0, n, block):
+        end = min(start + block, n)
+        key = key_buffer[: end - start]
+        if mode == "hard":
+            np.negative(sims[start:end], out=key)
+        else:
+            np.copyto(key, sims[start:end])
+        np.copyto(key, np.inf, where=filtered[start:end])
+        offsets = row_offsets[: end - start]
+        key_flat = key.reshape(-1)
+        key_flat[offsets + pos[start:end]] = np.inf
+        for t in range(ranked.shape[1]):
+            pick = key.argmin(axis=1)
+            ranked[start:end, t] = pick
+            key_flat[offsets + pick] = np.inf
     return np.take_along_axis(ranked, take, axis=1), filtered, dup
 
 

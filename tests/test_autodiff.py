@@ -479,6 +479,86 @@ class TestFiniteDifferenceCheck:
             ad.finite_difference_check(loss_fn, [p])
 
 
+def products_and_chain(a_values, b_values, cols, adjoint, backwards=1, interior=False):
+    """Leaf gradients of gather_products and of the chain it replaces,
+    gather_columns of matmul(a, transpose(b)), under one adjoint on the
+    gathered columns, after `backwards` backward passes on one graph. With
+    interior, a and b reach the op through a row_l2_normalize node."""
+    results = []
+    for op in ("products", "chain"):
+        a = ad.Tensor(a_values.copy(), requires_grad=True)
+        b = ad.Tensor(b_values.copy(), requires_grad=True)
+        qa, qb = (ad.row_l2_normalize(a), ad.row_l2_normalize(b)) if interior else (a, b)
+        if op == "products":
+            out = ad.gather_products(qa, qb, qa.values @ qb.values.T, cols)
+        else:
+            out = ad.gather_columns(ad.matmul(qa, ad.transpose(qb)), cols)
+        for _ in range(backwards):
+            ad.backward(out, adjoint)
+        results.append((out.values, a.grad, b.grad))
+    return results
+
+
+class TestGatherProducts:
+    """gather_products against gather_columns∘matmul∘transpose, by bytes. A
+    vjp that scatters the columns in reverse order fails the duplicate
+    case, one that assigns the first column instead of adding it to 0.0
+    fails the -0.0 case, and one that zero-fills its buffer only on its
+    first call fails the twice-run case."""
+
+    # Row 0 takes column 2 three times with adjoints 1, 1e-16 and -1, which
+    # sum to 0.0 in index order and to 1.1e-16 in reverse order.
+    COLS = np.array([[2, 2, 2, 0], [1, 3, 1, 4], [0, 0, 4, 4]])
+
+    def adjoint(self):
+        g = np.random.default_rng(5).normal(size=self.COLS.shape)
+        g[0, :3] = 1.0, 1e-16, -1.0
+        g[2] = -0.0
+        return g
+
+    @pytest.mark.parametrize("interior", [False, True])
+    @pytest.mark.parametrize("backwards", [1, 2])
+    def test_values_and_gradients_equal_the_chain_by_bytes(self, interior, backwards):
+        rng = np.random.default_rng(6)
+        a_values, b_values = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+        got, want = products_and_chain(a_values, b_values, self.COLS, self.adjoint(), backwards, interior)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    def test_negative_zero_adjoints_are_added_to_zero_as_the_chain_does(self):
+        # Row 2's adjoints are all -0.0: the buffer must hold the chain's dense
+        # adjoint, np.add.at into zeros, where 0.0 + -0.0 reads 0.0.
+        rng = np.random.default_rng(7)
+        a, b = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True), ad.constant(rng.normal(size=(5, 4)))
+        products = a.values @ b.values.T
+        g = self.adjoint()
+        ad.backward(ad.gather_products(a, b, products, self.COLS), g)
+        dense = np.zeros((3, 5))
+        np.add.at(dense, (np.arange(3)[:, None], self.COLS), g)
+        assert not np.signbit(dense[2]).any()
+        assert products.tobytes() == dense.tobytes()
+        got, want = products_and_chain(a.values, b.values, self.COLS, g)
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
+
+    def test_a_constant_operand_gets_no_adjoint(self):
+        rng = np.random.default_rng(9)
+        a, b = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True), ad.constant(rng.normal(size=(5, 4)))
+        ga, gb = ad.gather_products(a, b, a.values @ b.values.T, self.COLS)._vjp(self.adjoint())
+        assert gb is None and ga.shape == (3, 4)
+
+    def test_backward_overwrites_the_buffer_it_gathered_from(self):
+        rng = np.random.default_rng(10)
+        a, b = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True), ad.constant(rng.normal(size=(5, 4)))
+        products = a.values @ b.values.T
+        out = ad.gather_products(a, b, products, self.COLS)
+        assert out.values.tobytes() == np.take_along_axis(a.values @ b.values.T, self.COLS, 1).tobytes()
+        ad.backward(out, np.ones(self.COLS.shape))
+        counts = np.zeros((3, 5))
+        np.add.at(counts, (np.arange(3)[:, None], self.COLS), 1.0)
+        assert products.tobytes() == counts.tobytes()
+
+
 class TestAllocationCounter:
     def test_counter_tracks_tensor_lifetimes(self):
         before = ad.live_elements()

@@ -239,6 +239,9 @@ class TestConfigLoading:
         assert run(command, "--config", config, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+        if field != TEACHER_WIDTH:
+            # The field's own rule refused the value: an unknown-key error names the field too.
+            assert f"{field} must be " in err and ", got " in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -152,6 +152,82 @@ class TestEncoderForward:
         assert any(np.abs(g).max() > 0 for g in grads)
 
 
+def chain_forward(x, weights, depth):
+    """The encoder pass as the per-op graph chain that encoder._forward's
+    one node replaces: the oracle for its values and gradients."""
+    h = ad.constant(x)
+    for layer in range(depth):
+        h = ad.add(ad.matmul(h, weights[2 * layer]), weights[2 * layer + 1])
+        if layer < depth - 1:
+            h = ad.tanh(h)
+    return ad.row_l2_normalize(ad.matmul(h, weights[-1]))
+
+
+def node_and_chain(model, x, record, seed_adjoint=None):
+    """Values, and with record the parameter gradients under seed_adjoint,
+    of the encoder node and of the chain on the same weights and rows."""
+    results = []
+    for forward in ("node", "chain"):
+        for p in model.parameters():
+            p.zero_grad()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if forward == "node":
+                out = model._embed(x, record)
+            else:
+                weights = [p.tensor if record else ad.constant(p.values) for p in model.parameters()]
+                out = chain_forward(x, weights, model.config.depth)
+            if record:
+                ad.backward(out, seed_adjoint)
+        results.append((out, [p.grad for p in model.parameters()]))
+    return results
+
+
+class TestEncoderNode:
+    """encoder._forward is one graph node; its values and every parameter
+    gradient equal the per-op chain's by bytes. A vjp that writes the tanh
+    derivative as g - g * t * t instead of g * (1 - t * t) fails here."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("hidden", [1, 9])
+    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_values_and_gradients_equal_the_chain_by_bytes(self, depth, hidden, rows, record):
+        model = enc.Encoder(enc.EncoderConfig(input_dim=7, hidden_dim=hidden, embed_dim=5, depth=depth,
+                                              seed=depth * 10 + hidden))
+        rng = np.random.default_rng(rows + hidden)
+        x = rng.normal(size=(rows, 7))
+        seed_adjoint = rng.normal(size=(rows, 5))
+        seed_adjoint[0, 1] = -0.0
+        (node, node_grads), (chain, chain_grads) = node_and_chain(model, x, record, seed_adjoint)
+        assert node.values.tobytes() == chain.values.tobytes()
+        assert node.requires_grad == chain.requires_grad == record
+        for got, want in zip(node_grads, chain_grads):
+            assert (got is None) == (want is None) == (not record)
+            if record:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_overflowing_rows_give_the_chains_nan_bytes(self):
+        model = enc.Encoder(enc.EncoderConfig(input_dim=4, hidden_dim=6, embed_dim=3, depth=2, init_gain=1e200))
+        x = np.random.default_rng(1).normal(size=(5, 4)) * 1e150
+        (node, node_grads), (chain, chain_grads) = node_and_chain(model, x, True, np.ones((5, 3)))
+        assert np.isnan(node.values).any()
+        assert node.values.tobytes() == chain.values.tobytes()
+        assert [g.tobytes() for g in node_grads] == [g.tobytes() for g in chain_grads]
+
+    def test_a_recording_node_counts_what_it_saves(self):
+        model = enc.Encoder(enc.EncoderConfig(input_dim=7, hidden_dim=9, embed_dim=5, depth=3))
+        x = np.random.default_rng(2).normal(size=(11, 7))
+        before = ad.live_elements()
+        node = model._embed(x, record=True)
+        # input, two tanh outputs, pre-projection rows, output and norms
+        assert ad.live_elements() - before == 11 * (7 + 2 * 9 + 9 + 5 + 1)
+        del node
+        assert ad.live_elements() == before
+        constant = model._embed(x, record=False)
+        assert ad.live_elements() - before == 11 * 5
+        del constant
+
+
 class TestEncoderGradcheck:
     def test_full_pipeline_matches_finite_differences(self):
         config = enc.EncoderConfig(input_dim=3, hidden_dim=4, embed_dim=3, depth=2, seed=9)

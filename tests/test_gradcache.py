@@ -160,9 +160,9 @@ class TestGradientEquality:
         )
         n = objective.n_queries
         cached_values = stats.embedding_values
-        mined = objective.mine(ad.constant(cached_values[:n] @ cached_values[n:].T))
+        mined = objective.mine(cached_values[:n] @ cached_values[n:].T)
         assert mined.shape == (n, objective.config.k) and mined.dtype == np.intp
-        assert np.array_equal(mined, objective.mine(ad.constant(naive_emb.values[:n] @ naive_emb.values[n:].T)))
+        assert np.array_equal(mined, objective.mine(naive_emb.values[:n] @ naive_emb.values[n:].T))
 
     def test_planted_corpus_with_filtering_still_matches(self):
         corpus, encoder = make_setup(4, rate=0.25)

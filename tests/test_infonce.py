@@ -148,7 +148,7 @@ class TestHardLoss:
         # At tau = inf the batch loss would read ln(1 + k) whatever the embeddings.
         rows = unit_rows(13, 3, 4)
         with pytest.raises(ValueError, match="tau must be finite and > 0"):
-            nce.infonce_batch_loss(ad.constant(rows[:1] @ rows.T), [1], [[2]], float("inf"))
+            nce.infonce_batch_loss(ad.constant(rows[:1] @ rows[1:].T), float("inf"))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -166,6 +166,14 @@ class TestHardLoss:
         assert report.passed, f"max rel error {report.max_rel_error}"
 
 
+def batch_loss(queries, candidates, positives, negatives, tau):
+    """infonce_batch_loss of each query's positive and negatives, gathered
+    from the similarities as ContrastiveObjective.loss_between gathers them."""
+    cols = np.column_stack((positives, negatives))
+    scores = ad.gather_products(ad.constant(queries), ad.constant(candidates), queries @ candidates.T, cols)
+    return nce.infonce_batch_loss(scores, tau)
+
+
 class TestBatchLoss:
     def test_equals_mean_of_triples(self):
         rng = np.random.default_rng(14)
@@ -173,7 +181,7 @@ class TestBatchLoss:
         candidates = unit_rows(16, 12, 5)
         positives = [int(rng.integers(0, 12)) for _ in range(6)]
         negatives = [[int(j) for j in rng.choice(12, size=4, replace=False)] for _ in range(6)]
-        batch = nce.infonce_batch_loss(ad.constant(queries @ candidates.T), positives, negatives, 0.1).item()
+        batch = batch_loss(queries, candidates, positives, negatives, 0.1).item()
         per_triple = [
             nce.infonce_hard_loss(
                 triple_from(queries[i : i + 1], candidates[positives[i]][None, :], candidates[negatives[i]]),
@@ -186,38 +194,40 @@ class TestBatchLoss:
     def test_duplicated_negatives_count_repeatedly(self):
         queries = unit_rows(17, 1, 4)
         candidates = unit_rows(18, 3, 4)
-        sims = ad.constant(queries @ candidates.T)
-        once = nce.infonce_batch_loss(sims, [0], [[1]], 0.5).item()
-        twice = nce.infonce_batch_loss(sims, [0], [[1, 1]], 0.5).item()
+        once = batch_loss(queries, candidates, [0], [[1]], 0.5).item()
+        twice = batch_loss(queries, candidates, [0], [[1, 1]], 0.5).item()
         assert twice > once
 
     def test_non_integer_positives_rejected(self):
-        sims = ad.constant(unit_rows(21, 1, 4) @ unit_rows(22, 3, 4).T)
-        with pytest.raises(ValueError, match="^gather_columns: cols must hold integers, got dtype float64$"):
-            nce.infonce_batch_loss(sims, [0.9], [[2]], 0.5)
+        with pytest.raises(ValueError, match="^gather_products: cols must hold integers, got dtype float64$"):
+            batch_loss(unit_rows(21, 1, 4), unit_rows(22, 3, 4), [0.9], [[2]], 0.5)
 
     def test_shape_validation(self):
-        sims = ad.constant(unit_rows(19, 2, 4) @ unit_rows(20, 5, 4).T)
-        with pytest.raises(ValueError):
-            nce.infonce_batch_loss(sims, [0], [[1], [2]], 0.1)
-        with pytest.raises(ValueError):
-            nce.infonce_batch_loss(sims, [0, 1], [[1], [2, 3]], 0.1)
+        queries, candidates = unit_rows(19, 2, 4), unit_rows(20, 5, 4)
+        q, c = ad.constant(queries), ad.constant(candidates)
+        with pytest.raises(ValueError, match=r"^gather_products: \(5, 2\) is not the product"):
+            ad.gather_products(q, c, candidates @ queries.T, [[0, 1], [1, 2]])
+        with pytest.raises(ValueError, match=r"^gather_products: \(2, 5\) is not the product"):
+            ad.gather_products(q, ad.constant(unit_rows(20, 5, 3)), queries @ candidates.T, [[0, 1], [1, 2]])
+        with pytest.raises(IndexError, match="^gather_products: index out of range for 5 columns$"):
+            ad.gather_products(q, c, queries @ candidates.T, [[0, 1], [1, 5]])
 
     @pytest.mark.parametrize(
-        "positives, negatives, message",
-        [([0], [[1], [2], [3]], "1 positives and 3 rows of negatives for 2 queries"),
-         ([0, 1, 2], [[1]], "3 positives and 1 rows of negatives for 2 queries")],
+        "cols, message",
+        [([[0, 1], [1, 2], [2, 3]], r"index shape \(3, 2\) does not match 2 rows"),
+         ([[0, 1, 2, 3]], r"index shape \(1, 4\) does not match 2 rows"),
+         ([0, 1], r"index shape \(2,\) does not match 2 rows")],
     )
-    def test_positives_and_negatives_of_different_lengths_are_named(self, positives, negatives, message):
-        sims = ad.constant(unit_rows(21, 2, 4) @ unit_rows(22, 5, 4).T)
+    def test_index_rows_that_miss_the_queries_are_named(self, cols, message):
+        queries, candidates = unit_rows(21, 2, 4), unit_rows(22, 5, 4)
         with pytest.raises(ValueError, match=message):
-            nce.infonce_batch_loss(sims, positives, negatives, 0.1)
+            ad.gather_products(ad.constant(queries), ad.constant(candidates), queries @ candidates.T, cols)
 
     def test_array_inputs_give_the_same_loss_as_lists(self):
-        sims = ad.constant(unit_rows(23, 3, 4) @ unit_rows(24, 6, 4).T)
+        queries, candidates = unit_rows(23, 3, 4), unit_rows(24, 6, 4)
         positives, negatives = [5, 0, 2], [[1, 1, 4], [3, 5, 2], [0, 1, 3]]
-        as_lists = nce.infonce_batch_loss(sims, positives, negatives, 0.2).item()
-        as_arrays = nce.infonce_batch_loss(sims, np.array(positives, np.intp), np.array(negatives, np.intp), 0.2)
+        as_lists = batch_loss(queries, candidates, positives, negatives, 0.2).item()
+        as_arrays = batch_loss(queries, candidates, np.array(positives, np.intp), np.array(negatives, np.intp), 0.2)
         assert as_arrays.item() == as_lists
 
 

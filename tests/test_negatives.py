@@ -464,6 +464,45 @@ class TestSelectNegativesBlockEdges:
         assert_matches_per_row(queries @ candidates.T, positives, 8, mode, beta)
 
 
+class TestSelectNegativesKeyBlocks:
+    """select_negatives builds its hard/easy key KEY_BLOCK_BYTES of rows at a
+    time; every blocking must pick as the per-row reference does. A miner
+    that takes the last of equal keys fails the tie cases, and one that
+    reads the first block's positives in every block fails the multi-block
+    cases."""
+
+    @staticmethod
+    def rows_per_block(monkeypatch, m, rows):
+        monkeypatch.setattr(neg, "KEY_BLOCK_BYTES", 8 * m * rows)
+
+    @pytest.mark.parametrize("mode", ["hard", "easy"])
+    @pytest.mark.parametrize("rows", [1, 2, 3], ids=["one-row", "two-row", "three-row"])
+    def test_tied_rows_short_of_k_in_blocks_with_a_remainder(self, monkeypatch, mode, rows):
+        # 7 rows: blocks of 1 (seven), 2 (three plus one) or 3 (two plus one).
+        self.rows_per_block(monkeypatch, TIED_SIMS.shape[1], rows)
+        for k in (1, 3, 9, 12):
+            assert_matches_per_row(TIED_SIMS, TIED_POSITIVES, k, mode, 0.0)
+
+    def test_a_budget_below_one_row_takes_one_row_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(neg, "KEY_BLOCK_BYTES", 1)
+        assert_matches_per_row(TIED_SIMS, TIED_POSITIVES, 4, "hard", 0.0)
+
+    @pytest.mark.parametrize("mode", ["hard", "easy"])
+    @pytest.mark.parametrize("beta", [-0.3, 0.02])
+    def test_many_blocks_at_training_width(self, monkeypatch, mode, beta):
+        # 50 rows of 120 candidates in blocks of 7: seven blocks and a remainder of 1.
+        rng = np.random.default_rng(2025)
+        sims = np.round(rng.uniform(-1, 1, size=(50, 120)), 2)
+        positives = rng.integers(0, 120, size=50)
+        sims[np.arange(50), positives] = np.round(rng.uniform(0.3, 0.9, size=50), 2)
+        self.rows_per_block(monkeypatch, 120, 7)
+        assert_matches_per_row(sims, positives, 8, mode, beta)
+
+    def test_default_budget_blocks_the_training_shape(self):
+        # The shape of a 384 x 480 stage-2 step spans several key blocks.
+        assert 1 < -(-384 // (neg.KEY_BLOCK_BYTES // (8 * 480))) < 384
+
+
 class TestSelectNegativesLayout:
     """Picks feed the loss's fancy index as they are; a strided pick array
     changes the order in which later row sums add, so every mode must
